@@ -476,11 +476,13 @@ if [[ "$OOM" -eq 1 ]]; then
          "set CTP_VERIFY)" >&2
     exit 1
   fi
-  # bloat/2-object+H peaks around ~27 MB RSS here, so a KB-granular
-  # RLIMIT_AS ladder can bracket it; presets that converge in a few MB
-  # would need limits below the runtime's own floor.
+  # bloat/1-call+H peaks around ~14 MB RSS here (~0.8M derivations), so
+  # a KB-granular RLIMIT_AS ladder can bracket it; presets that converge
+  # in a few MB would need limits below the runtime's own floor.
+  # bloat/2-object+H, the earlier drill cell, peaks at ~8-10 MB and
+  # survives every limit on the ladder.
   OPRESET=bloat
-  OCONFIG=2-object+H
+  OCONFIG=1-call+H
 
   die() {
     echo "FAIL: $1" >&2
@@ -493,7 +495,7 @@ if [[ "$OOM" -eq 1 ]]; then
   # The exact lethal limit shifts with allocator and libc versions, so
   # probe a descending ladder instead of hard-coding one value.
   LIMIT_KB=""
-  for CAND in 36000 33000 30000 27000 24000; do
+  for CAND in 36000 33000 30000 27000 24000 21000 18000 15000 12000; do
     set +e
     ( ulimit -v "$CAND" && exec "$ANALYZE" --preset "$OPRESET" \
         --config "$OCONFIG" ) \

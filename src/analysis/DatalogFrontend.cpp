@@ -600,6 +600,7 @@ Results solveOnce(const FactDB &DB, const ctx::Config &Cfg,
   R.Stat.NumCall = R.Call.size();
   R.Stat.NumReach = R.Reach.size();
   R.Stat.DomainSize = Dom->size();
+  R.Stat.DomainTraffic = Dom->counters();
   R.Stat.Seconds = Timer.seconds();
   R.Stat.Term = RS.Term;
   R.Stat.Progress.Iterations = RS.Rounds;

@@ -45,6 +45,9 @@ struct Stats {
   std::size_t total() const { return NumPts + NumHpts + NumCall; }
   /// Number of distinct interned context transformations.
   std::size_t DomainSize = 0;
+  /// The domain's comp/inv traffic during this invocation (a resumed run
+  /// counts only its own part).
+  ctx::DomainCounters DomainTraffic;
   /// Facts dropped or retired by subsumption collapsing (0 unless the
   /// CollapseSubsumedPts option is on).
   std::size_t CollapsedPts = 0;

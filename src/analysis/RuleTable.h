@@ -30,6 +30,9 @@ namespace analysis {
 /// premises are not counted — they are enumerable from the FactDB).
 enum class RuleArity : std::uint8_t { Axiom, One, Two };
 
+/// The entity a provenance edge's aux word names (ProvenanceGraph::Edge).
+enum class AuxKind : std::uint8_t { None, Var, Invoke, Global, Heap };
+
 /// One deduction rule.
 struct RuleDesc {
   ProvRule Rule;
@@ -39,11 +42,21 @@ struct RuleDesc {
   /// The relation the rule concludes into.
   ProvRel Conclusion;
   RuleArity Arity;
+  /// Lower-case phrase for rendered provenance chains ("assign",
+  /// "virtual-dispatch", ...).
+  const char *Verb;
+  /// What the aux word names, and the word introducing it in a rendered
+  /// chain ("from", "at", ...; null when Aux is AuxKind::None).
+  AuxKind Aux;
+  const char *AuxLabel;
 };
 
 /// The full rule table, in the solver's canonical firing order. Iterating
 /// it visits every rule exactly once.
 const RuleDesc *ruleTable(std::size_t &Count);
+
+/// The descriptor of \p R, or null for an out-of-range value.
+const RuleDesc *ruleDesc(ProvRule R);
 
 /// Display name of \p R ("ASSIGN"), or "?" for an out-of-range value.
 const char *ruleName(ProvRule R);

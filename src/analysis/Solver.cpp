@@ -11,6 +11,7 @@
 #include "analysis/Provenance.h"
 #include "analysis/Unify.h"
 #include "ctx/CutShortcut.h"
+#include "support/FlatTable.h"
 #include "support/Stats.h"
 
 #include <cassert>
@@ -33,6 +34,19 @@ std::uint64_t pairKey(std::uint32_t A, std::uint32_t B) {
 std::uint64_t tripleKey(std::uint32_t A, std::uint32_t B, std::uint32_t C) {
   return hashCombine(hashCombine(mix64(A), B), C);
 }
+
+/// Slot traits of the derived relations' dedup sets. No real fact key is
+/// all ones: every keyOf carries a TransformId (< 2^28) or a 0/1 tag.
+struct FactKeyTraits {
+  static FactKey empty() {
+    return {UINT32_MAX, UINT32_MAX, UINT32_MAX, UINT32_MAX};
+  }
+  static std::uint64_t hash(const FactKey &K) {
+    return mix64(pairKey(K[0], K[1]) ^ mix64(pairKey(K[2], K[3])));
+  }
+};
+
+using FactSet = FlatSet<FactKey, FactKeyTraits>;
 
 /// Hashed membership sets of the removed input rows, one per predicate a
 /// provenance edge can ground in. Triples are stored hashed; a collision
@@ -152,7 +166,7 @@ public:
       PtsFact F{PW[I], PW[I + 1], PW[I + 2]};
       if (F.Var >= DB.numVars() || F.Heap >= DB.numHeaps() || F.T >= NumT)
         return "snapshot pts relation has out-of-range ids";
-      if (!PtsSet.insert(keyOf(F)).second)
+      if (!PtsSet.insert(keyOf(F)))
         return "snapshot pts relation has duplicate tuples";
       if (Collapse && !collapseInsert(F.Var, F.Heap, F.T))
         return "snapshot pts relation disagrees with its collapse state";
@@ -166,7 +180,7 @@ public:
       PtsFact F{SW[I], SW[I + 1], SW[I + 2]};
       if (F.Var >= DB.numVars() || F.Heap >= DB.numHeaps() || F.T >= NumT)
         return "snapshot subsumed-pts section has out-of-range ids";
-      if (!PtsSet.insert(keyOf(F)).second)
+      if (!PtsSet.insert(keyOf(F)))
         return "snapshot subsumed-pts section has duplicate tuples";
       if (Ckpt.enabled())
         SubsumedAtInsert.push_back(F);
@@ -177,7 +191,7 @@ public:
       if (F.Base >= DB.numHeaps() || F.Field >= DB.numFields() ||
           F.Heap >= DB.numHeaps() || F.T >= NumT)
         return "snapshot hpts relation has out-of-range ids";
-      if (!HptsSet.insert(keyOf(F)).second)
+      if (!HptsSet.insert(keyOf(F)))
         return "snapshot hpts relation has duplicate tuples";
       HptsRel.push_back(F);
       HptsByBaseField[pairKey(F.Base, F.Field)].push_back({F.Heap, F.T});
@@ -190,7 +204,7 @@ public:
       if (F.Base >= DB.numHeaps() || F.Field >= DB.numFields() ||
           F.Var >= DB.numVars() || F.T >= NumT)
         return "snapshot hload relation has out-of-range ids";
-      if (!HloadSet.insert(keyOf(F)).second)
+      if (!HloadSet.insert(keyOf(F)))
         return "snapshot hload relation has duplicate tuples";
       HloadRel.push_back(F);
       HloadByBaseField[pairKey(F.Base, F.Field)].push_back({F.Var, F.T});
@@ -203,7 +217,7 @@ public:
       if (F.Invoke >= DB.numInvokes() || F.Method >= DB.numMethods() ||
           F.T >= NumT)
         return "snapshot call relation has out-of-range ids";
-      if (!CallSet.insert(keyOf(F)).second)
+      if (!CallSet.insert(keyOf(F)))
         return "snapshot call relation has duplicate tuples";
       CallRel.push_back(F);
       CallByInvoke[F.Invoke].push_back({F.Method, F.T});
@@ -216,7 +230,7 @@ public:
       ReachFact F{RW[I], RW[I + 1]};
       if (F.Method >= DB.numMethods() || F.CtxtId >= NumCtxt)
         return "snapshot reach relation has out-of-range ids";
-      if (!ReachSet.insert(keyOf(F)).second)
+      if (!ReachSet.insert(keyOf(F)))
         return "snapshot reach relation has duplicate tuples";
       ReachRel.push_back(F);
       ReachByMethod[F.Method].push_back(F.CtxtId);
@@ -229,7 +243,7 @@ public:
       if (F.Global >= DB.numGlobals() || F.Heap >= DB.numHeaps() ||
           F.T >= NumT)
         return "snapshot gpts relation has out-of-range ids";
-      if (!GptsSet.insert(keyOf(F)).second)
+      if (!GptsSet.insert(keyOf(F)))
         return "snapshot gpts relation has duplicate tuples";
       GptsRel.push_back(F);
       GptsByGlobal[F.Global].push_back({F.Heap, F.T});
@@ -556,6 +570,7 @@ public:
     R.Stat.NumCall = CallRel.size();
     R.Stat.NumReach = ReachRel.size();
     R.Stat.DomainSize = Dom->size();
+    R.Stat.DomainTraffic = Dom->counters();
     R.Stat.WorkItems = BaseWorkItems + WorkItems;
     R.Stat.Seconds = Timer.seconds();
     R.Stat.Term = Meter.reason();
@@ -673,7 +688,7 @@ private:
   bool addPts(std::uint32_t Var, std::uint32_t Heap, TransformId T) {
     Meter.chargeDerivations();
     PtsFact F{Var, Heap, T};
-    if (!PtsSet.insert(keyOf(F)).second)
+    if (!PtsSet.insert(keyOf(F)))
       return false;
     if (Collapse && !collapseInsert(Var, Heap, T)) {
       // The fact occupies the dedup set but never reaches the relation;
@@ -729,7 +744,7 @@ private:
                TransformId T) {
     Meter.chargeDerivations();
     HptsFact F{Base, Field, Heap, T};
-    if (!HptsSet.insert(keyOf(F)).second)
+    if (!HptsSet.insert(keyOf(F)))
       return false;
     Meter.chargeTuple();
     HptsRel.push_back(F);
@@ -742,7 +757,7 @@ private:
                 TransformId T) {
     Meter.chargeDerivations();
     HloadFact F{Base, Field, Var, T};
-    if (!HloadSet.insert(keyOf(F)).second)
+    if (!HloadSet.insert(keyOf(F)))
       return false;
     Meter.chargeTuple();
     HloadRel.push_back(F);
@@ -754,7 +769,7 @@ private:
   bool addCall(std::uint32_t Invoke, std::uint32_t Method, TransformId T) {
     Meter.chargeDerivations();
     CallFact F{Invoke, Method, T};
-    if (!CallSet.insert(keyOf(F)).second)
+    if (!CallSet.insert(keyOf(F)))
       return false;
     Meter.chargeTuple();
     CallRel.push_back(F);
@@ -767,7 +782,7 @@ private:
   bool addGpts(std::uint32_t Global, std::uint32_t Heap, TransformId T) {
     Meter.chargeDerivations();
     GptsFact F{Global, Heap, T};
-    if (!GptsSet.insert(keyOf(F)).second)
+    if (!GptsSet.insert(keyOf(F)))
       return false;
     Meter.chargeTuple();
     GptsRel.push_back(F);
@@ -780,7 +795,7 @@ private:
     Meter.chargeDerivations();
     std::uint32_t CtxId = ReachCtxts->intern(Ctx);
     ReachFact F{Method, CtxId};
-    if (!ReachSet.insert(keyOf(F)).second)
+    if (!ReachSet.insert(keyOf(F)))
       return false;
     Meter.chargeTuple();
     ReachRel.push_back(F);
@@ -1359,8 +1374,7 @@ private:
 
   // Derived relations, dedup sets, and join indices. PtsByVar etc. are
   // lazily sized in the constructor body via resize below.
-  std::unordered_set<FactKey, FactKeyHash> PtsSet, HptsSet, HloadSet,
-      CallSet, ReachSet, GptsSet;
+  FactSet PtsSet, HptsSet, HloadSet, CallSet, ReachSet, GptsSet;
   std::vector<PtsFact> PtsRel;
   std::vector<HptsFact> HptsRel;
   std::vector<HloadFact> HloadRel;

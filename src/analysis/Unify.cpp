@@ -417,6 +417,7 @@ private:
     R.Stat.NumReach = R.Reach.size();
     R.Stat.NumGpts = R.Gpts.size();
     R.Stat.DomainSize = R.Dom->size();
+    R.Stat.DomainTraffic = R.Dom->counters();
     R.Stat.WorkItems = WorkItems;
     R.Stat.Seconds = Timer.seconds();
     R.Stat.Term = Meter.reason();

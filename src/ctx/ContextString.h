@@ -51,12 +51,17 @@ struct CtxtPairHash {
   }
 };
 
-/// comp^c: succeeds iff the middles agree exactly (both operands are
-/// truncated to the same middle length by the rule schema, so equality is
-/// the correct prefix-set test).
+/// True iff comp^c(A, B) succeeds: the middles agree exactly (both
+/// operands are truncated to the same middle length by the rule schema,
+/// so equality is the correct prefix-set test).
+inline bool composable(const CtxtPair &A, const CtxtPair &B) {
+  return A.Out == B.In;
+}
+
+/// comp^c: (U,V);(V,W) = (U,W), or nullopt unless composable(A, B).
 inline std::optional<CtxtPair> composePairs(const CtxtPair &A,
                                             const CtxtPair &B) {
-  if (A.Out != B.In)
+  if (!composable(A, B))
     return std::nullopt;
   return CtxtPair{A.In, B.Out};
 }

@@ -7,10 +7,10 @@
 
 #include "ctx/Domain.h"
 
+#include "support/FlatTable.h"
 #include "support/Interner.h"
 
 #include <cassert>
-#include <unordered_map>
 
 using namespace ctp;
 using namespace ctp::ctx;
@@ -72,8 +72,51 @@ std::uint64_t binKey(std::uint32_t A, std::uint32_t B, unsigned I,
          (static_cast<std::uint64_t>(K) << 59);
 }
 
-/// Sentinel stored in the memo table for ⊥ results.
-constexpr TransformId BottomId = UINT32_MAX;
+/// Slot traits of the comp memo. binKey leaves bits 62-63 clear, so an
+/// all-ones key never names a real composition.
+struct CompKeyTraits {
+  static std::uint64_t empty() { return UINT64_MAX; }
+  static std::uint64_t hash(std::uint64_t K) { return mix64(K); }
+};
+
+/// comp results by binKey. Only non-⊥ compositions are ever stored: ⊥ is
+/// decided from the operands' values before the memo is consulted.
+using CompMemo = FlatTable<std::uint64_t, TransformId, CompKeyTraits>;
+
+/// Empty slot of an inverse cache.
+constexpr TransformId NoId = UINT32_MAX;
+
+/// Looks up A;B in \p Memo, or computes it with \p Compose (which must not
+/// fail: ⊥ was ruled out by the caller) and memoizes it.
+template <typename ComposeFn>
+TransformId memoComp(CompMemo &Memo, DomainCounters &C, std::uint64_t Key,
+                     ComposeFn Compose) {
+  if (const TransformId *Hit = Memo.find(Key)) {
+    ++C.MemoHits;
+    return *Hit;
+  }
+  ++C.MemoMisses;
+  TransformId Id = Compose();
+  Memo.insert(Key, Id);
+  return Id;
+}
+
+/// Looks up inv(A) in \p Cache, or computes it with \p Invert and caches
+/// it.
+template <typename InvertFn>
+TransformId cachedInv(std::vector<TransformId> &Cache, DomainCounters &C,
+                      TransformId A, InvertFn Invert) {
+  ++C.InvCalls;
+  if (A < Cache.size() && Cache[A] != NoId) {
+    ++C.InvCacheHits;
+    return Cache[A];
+  }
+  TransformId R = Invert();
+  if (Cache.size() <= A)
+    Cache.resize(static_cast<std::size_t>(A) + 1, NoId);
+  Cache[A] = R;
+  return R;
+}
 
 /// Serialization helpers for exportInterned/importInterned: a CtxtVec is
 /// encoded as its length followed by its elements.
@@ -115,23 +158,20 @@ public:
     // Context-string composition needs no truncation: the rule schema only
     // ever joins middles of equal truncation length, and the outer strings
     // already satisfy the target bounds.
-    std::uint64_t Key = binKey(A, B, MaxExits, MaxEntries);
-    auto It = CompCache.find(Key);
-    if (It != CompCache.end()) {
-      if (It->second == BottomId)
-        return std::nullopt;
-      return It->second;
-    }
-    std::optional<CtxtPair> R = composePairs(Pairs[A], Pairs[B]);
-    TransformId Id = R ? Pairs.intern(*R) : BottomId;
-    CompCache.emplace(Key, Id);
-    if (Id == BottomId)
+    ++Counters.CompCalls;
+    const CtxtPair &PA = Pairs[A];
+    const CtxtPair &PB = Pairs[B];
+    if (!composable(PA, PB)) {
+      ++Counters.CompBottom;
       return std::nullopt;
-    return Id;
+    }
+    return memoComp(CompCache, Counters, binKey(A, B, MaxExits, MaxEntries),
+                    [&] { return Pairs.intern(*composePairs(PA, PB)); });
   }
 
   TransformId inv(TransformId A) override {
-    return Pairs.intern(inversePair(Pairs[A]));
+    return cachedInv(InvCache, Counters, A,
+                     [&] { return Pairs.intern(inversePair(Pairs[A])); });
   }
 
   TransformId mergeVirtual(std::uint32_t Heap, std::uint32_t Invoke,
@@ -211,7 +251,8 @@ public:
 
 private:
   Interner<CtxtPair, CtxtPairHash> Pairs;
-  std::unordered_map<std::uint64_t, TransformId> CompCache;
+  CompMemo CompCache;
+  std::vector<TransformId> InvCache;
 };
 
 //===----------------------------------------------------------------------===//
@@ -234,30 +275,23 @@ public:
   std::optional<TransformId> comp(TransformId A, TransformId B,
                                   unsigned MaxExits,
                                   unsigned MaxEntries) override {
-    std::uint64_t Key = binKey(A, B, MaxExits, MaxEntries);
-    auto It = CompCache.find(Key);
-    if (It != CompCache.end()) {
-      if (It->second == BottomId)
-        return std::nullopt;
-      return It->second;
-    }
-    std::optional<Transformer> R =
-        composeTruncated(Strings[A], Strings[B], MaxExits, MaxEntries);
-    TransformId Id = R ? Strings.intern(*R) : BottomId;
-    CompCache.emplace(Key, Id);
-    if (Id == BottomId)
+    ++Counters.CompCalls;
+    const Transformer &TA = Strings[A];
+    const Transformer &TB = Strings[B];
+    if (!composable(TA, TB)) {
+      ++Counters.CompBottom;
       return std::nullopt;
-    return Id;
+    }
+    return memoComp(CompCache, Counters, binKey(A, B, MaxExits, MaxEntries),
+                    [&] {
+                      return Strings.intern(
+                          *composeTruncated(TA, TB, MaxExits, MaxEntries));
+                    });
   }
 
   TransformId inv(TransformId A) override {
-    if (A < InvCache.size() && InvCache[A] != BottomId)
-      return InvCache[A];
-    TransformId R = Strings.intern(inverse(Strings[A]));
-    if (InvCache.size() <= A)
-      InvCache.resize(static_cast<std::size_t>(A) + 1, BottomId);
-    InvCache[A] = R;
-    return R;
+    return cachedInv(InvCache, Counters, A,
+                     [&] { return Strings.intern(inverse(Strings[A])); });
   }
 
   TransformId mergeVirtual(std::uint32_t Heap, std::uint32_t Invoke,
@@ -355,7 +389,7 @@ public:
 private:
   Interner<Transformer, TransformerHash> Strings;
   TransformId EpsilonId;
-  std::unordered_map<std::uint64_t, TransformId> CompCache;
+  CompMemo CompCache;
   std::vector<TransformId> InvCache;
 };
 

@@ -12,11 +12,16 @@
 /// configuration.
 ///
 /// Abstract transformations are interned to dense 32-bit ids so derived
-/// relations are flat integer tuples; composition and inverse are memoized
-/// per id pair. This interning + memoization plays the role of the paper's
-/// Section-7 decomposition of transformer strings into per-configuration
-/// relations: joins bind whole transformation ids instead of re-parsing
-/// string structure.
+/// relations are flat integer tuples. comp first decides ⊥ from the
+/// operands' values — the one comparison of middles (context strings) or
+/// of A's entries against B's exits (transformer strings) on which
+/// composition can fail — so the most common answer costs no hash work;
+/// only successful compositions go through the memo, a flat
+/// open-addressed table (support/FlatTable.h, shared with the solver's
+/// dedup sets). inv is cached per id. This interning + memoization plays
+/// the role of the paper's Section-7 decomposition of transformer strings
+/// into per-configuration relations: joins bind whole transformation ids
+/// instead of re-parsing string structure.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +43,18 @@ namespace ctx {
 
 /// Dense id of an interned abstract context transformation.
 using TransformId = std::uint32_t;
+
+/// comp/inv traffic of one domain, counted with plain members (a domain is
+/// only ever mutated by the one solve that owns it).
+struct DomainCounters {
+  std::uint64_t CompCalls = 0;
+  /// comp calls answered ⊥ from the operands' values, before the memo.
+  std::uint64_t CompBottom = 0;
+  std::uint64_t MemoHits = 0;
+  std::uint64_t MemoMisses = 0;
+  std::uint64_t InvCalls = 0;
+  std::uint64_t InvCacheHits = 0;
+};
 
 /// Flavour-instantiated, interned context-transformation domain.
 ///
@@ -104,6 +121,9 @@ public:
   /// Number of distinct transformations interned so far.
   virtual std::size_t size() const = 0;
 
+  /// comp/inv traffic since construction.
+  const DomainCounters &counters() const { return Counters; }
+
   /// Debug rendering of an interned transformation.
   virtual std::string toString(TransformId Id,
                                const ElemPrinter &Printer) const = 0;
@@ -160,6 +180,7 @@ protected:
 
   Config Cfg;
   std::vector<std::uint32_t> ClassOfHeap;
+  DomainCounters Counters;
 };
 
 /// Creates the domain implementation selected by \p Cfg.Abs.

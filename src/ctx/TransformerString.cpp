@@ -16,11 +16,10 @@ std::optional<Transformer> ctx::compose(const Transformer &A,
   // `match` cancels A's entries against B's exits pairwise from the front
   // (both describe the context top): â followed by ǎ cancels, â followed by
   // b̌ with a ≠ b is ⊥ (the paper's infeasible path).
+  if (!composable(A, B))
+    return std::nullopt;
   unsigned N = A.Entries.size() < B.Exits.size() ? A.Entries.size()
                                                  : B.Exits.size();
-  for (unsigned I = 0; I < N; ++I)
-    if (A.Entries[I] != B.Exits[I])
-      return std::nullopt;
 
   Transformer R;
   if (B.Exits.size() > N) {

@@ -84,6 +84,19 @@ struct TransformerHash {
   }
 };
 
+/// True iff A;B is not ⊥: every entry of \p A that meets an exit of \p B
+/// (pairwise from the context top) equals it. This is compose's only
+/// failure condition — truncation never fails — so callers can reject ⊥
+/// without building the composition.
+inline bool composable(const Transformer &A, const Transformer &B) {
+  unsigned N = A.Entries.size() < B.Exits.size() ? A.Entries.size()
+                                                 : B.Exits.size();
+  for (unsigned I = 0; I < N; ++I)
+    if (A.Entries[I] != B.Exits[I])
+      return false;
+  return true;
+}
+
 /// Composes two transformers: "first \p A, then \p B" (the paper's A;B).
 /// Performs the full `match` cancellation without truncation.
 /// \returns std::nullopt when the composition is ⊥ (an entry of A meets a

@@ -28,9 +28,9 @@ std::string errnoDiag(const std::string &What, const std::string &Path) {
 
 std::string durable::syncDirOf(const std::string &Path) {
   std::string::size_type Slash = Path.rfind('/');
-  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
-  if (Dir.empty())
-    Dir = "/";
+  std::string Dir = Slash == std::string::npos ? std::string(".")
+                    : Slash == 0                ? std::string("/")
+                                                : Path.substr(0, Slash);
   int Fd = posix::openRetry(Dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (Fd < 0)
     return errnoDiag("open directory", Dir);

@@ -8,9 +8,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Solver.h"
 #include "ctx/Domain.h"
+#include "facts/Extract.h"
+#include "workload/Presets.h"
 
 #include "gtest/gtest.h"
+
+#include <algorithm>
 
 using namespace ctp;
 using namespace ctp::ctx;
@@ -161,8 +166,91 @@ TEST(DomainTest, CompBottomIsFiltered) {
   TransformId Inv3 = D->inv(C3);                        // Ǐ3
   // Î2 ; Ǐ3 = ⊥.
   EXPECT_FALSE(D->comp(C2, Inv3, 1, 1).has_value());
-  // Repeat to exercise the memoized-⊥ path.
+  // ⊥ is decided from the values on every call; it never enters the memo.
   EXPECT_FALSE(D->comp(C2, Inv3, 1, 1).has_value());
+  EXPECT_EQ(D->counters().CompBottom, 2u);
+  EXPECT_EQ(D->counters().MemoMisses, 0u);
+}
+
+/// The domain a converged solve of a small preset leaves behind: a
+/// realistic population of interned transformations.
+std::unique_ptr<Domain> solvedDomain(Abstraction A) {
+  facts::FactDB DB = facts::extract(workload::generatePreset("luindex"));
+  analysis::Results R = analysis::solve(DB, twoObjectH(A));
+  return std::move(R.Dom);
+}
+
+/// Checks comp against the reference composition on every pair of the
+/// first \p Cap interned ids, under the (MaxExits, MaxEntries) pairs the
+/// rules use — (h, h) and (h, m) — on a first and on a repeat call.
+void expectCompMatchesReference(Domain &D, std::size_t Cap) {
+  const Config &Cfg = D.config();
+  const std::pair<unsigned, unsigned> Dims[] = {
+      {Cfg.HeapDepth, Cfg.HeapDepth}, {Cfg.HeapDepth, Cfg.MethodDepth}};
+  const bool Cs = Cfg.Abs == Abstraction::ContextString;
+  const TransformId N =
+      static_cast<TransformId>(std::min<std::size_t>(D.size(), Cap));
+  std::size_t Bottoms = 0, Composed = 0;
+  for (auto [I, K] : Dims)
+    for (TransformId A = 0; A < N; ++A)
+      for (TransformId B = 0; B < N; ++B) {
+        std::optional<TransformId> First = D.comp(A, B, I, K);
+        std::size_t Size = D.size();
+        std::optional<TransformId> Again = D.comp(A, B, I, K);
+        EXPECT_EQ(First, Again);
+        EXPECT_EQ(D.size(), Size) << "a repeat comp interned a value";
+        bool Bottom;
+        if (Cs) {
+          std::optional<CtxtPair> Ref =
+              composePairs(D.ctxtPair(A), D.ctxtPair(B));
+          Bottom = !Ref;
+          if (Ref && First) {
+            EXPECT_EQ(D.ctxtPair(*First), *Ref);
+          }
+        } else {
+          std::optional<Transformer> Ref =
+              composeTruncated(D.transformer(A), D.transformer(B), I, K);
+          Bottom = !Ref;
+          if (Ref && First) {
+            EXPECT_EQ(D.transformer(*First), *Ref);
+          }
+        }
+        EXPECT_EQ(First.has_value(), !Bottom) << A << ";" << B;
+        ++(Bottom ? Bottoms : Composed);
+      }
+  // The sample must exercise both outcomes to mean anything.
+  EXPECT_GT(Bottoms, 0u);
+  EXPECT_GT(Composed, 0u);
+  const DomainCounters &C = D.counters();
+  EXPECT_EQ(C.CompCalls, C.CompBottom + C.MemoHits + C.MemoMisses);
+}
+
+TEST(DomainTest, ContextStringCompMatchesReference) {
+  auto D = solvedDomain(Abstraction::ContextString);
+  expectCompMatchesReference(*D, 150);
+}
+
+TEST(DomainTest, TransformerCompMatchesReference) {
+  auto D = solvedDomain(Abstraction::TransformerString);
+  expectCompMatchesReference(*D, 150);
+}
+
+TEST(DomainTest, ContextStringInverseIsCachedInvolution) {
+  auto D = solvedDomain(Abstraction::ContextString);
+  const TransformId N = static_cast<TransformId>(D->size());
+  for (TransformId A = 0; A < N; ++A) {
+    TransformId Inv = D->inv(A);
+    EXPECT_EQ(D->ctxtPair(Inv), inversePair(D->ctxtPair(A)));
+    EXPECT_EQ(D->inv(Inv), A);
+  }
+  // Every inverse is interned now: repeats hit the cache and intern
+  // nothing.
+  std::size_t Size = D->size();
+  std::uint64_t Hits = D->counters().InvCacheHits;
+  for (TransformId A = 0; A < N; ++A)
+    D->inv(A);
+  EXPECT_EQ(D->size(), Size);
+  EXPECT_EQ(D->counters().InvCacheHits, Hits + N);
 }
 
 TEST(DomainTest, InsensitiveConfigCollapsesEverything) {

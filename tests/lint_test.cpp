@@ -473,7 +473,8 @@ TEST(TaintWitnessTest, StepsNameRealEntitiesAndEndpointContextsCompose) {
     bool Composes = false;
     for (ctx::TransformId A : Ts)
       for (ctx::TransformId Bt : Tk)
-        if (R.Dom->comp(R.Dom->inv(A), Bt, 16, 16)) {
+        if (R.Dom->comp(R.Dom->inv(A), Bt, ctx::MaxCtxtDepth,
+                        ctx::MaxCtxtDepth)) {
           Composes = true;
           break;
         }

@@ -13,6 +13,7 @@
 
 #include "analysis/Checkpoint.h"
 #include "analysis/Provenance.h"
+#include "analysis/RuleTable.h"
 #include "analysis/Solver.h"
 #include "facts/Extract.h"
 #include "ir/Builder.h"
@@ -308,6 +309,34 @@ TEST(ProvenanceTest, RenderedChainNamesEntities) {
   EXPECT_NE(Text.find("indirect-flow"), std::string::npos) << Text;
   EXPECT_NE(Text.find("allocation"), std::string::npos) << Text;
   EXPECT_NE(Text.find("<="), std::string::npos) << Text;
+}
+
+TEST(ProvenanceTest, EveryRuleRendersWithoutPlaceholders) {
+  // One single-node graph per rule of the table, concluding into the
+  // rule's relation with every id (and the aux word) at 0: each must
+  // render its verb and, when it has one, its aux entity by name.
+  facts::FactDB DB = facts::extract(makeRichProgram());
+  analysis::Results R =
+      solveWithProv(DB, ctx::twoObjectH(Abstraction::TransformerString));
+  std::size_t N;
+  const analysis::RuleDesc *Table = analysis::ruleTable(N);
+  for (std::size_t I = 0; I < N; ++I) {
+    const analysis::RuleDesc &D = Table[I];
+    SCOPED_TRACE(D.Name);
+    ProvenanceGraph G(4);
+    G.note(D.Conclusion, {0, 0, 0, 0}, D.Rule, ProvenanceGraph::InvalidNode,
+           ProvenanceGraph::InvalidNode, 0);
+    std::string Text =
+        analysis::renderProvenanceChain(G, 0, DB, *R.Dom, *R.ReachCtxts);
+    EXPECT_EQ(Text.find('?'), std::string::npos) << Text;
+    EXPECT_NE(Text.find(std::string("<= ") + D.Verb), std::string::npos)
+        << Text;
+    if (D.Aux != analysis::AuxKind::None) {
+      EXPECT_NE(Text.find(std::string("(") + D.AuxLabel + " "),
+                std::string::npos)
+          << Text;
+    }
+  }
 }
 
 TEST(ProvenanceTest, ResumedRunDropsProvenanceCleanly) {

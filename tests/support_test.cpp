@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/BoundedVector.h"
+#include "support/FlatTable.h"
 #include "support/Hashing.h"
 #include "support/Interner.h"
 #include "support/Rng.h"
@@ -108,6 +109,55 @@ TEST(RngTest, BoundsRespected) {
 TEST(HashingTest, MixDistinguishesNeighbours) {
   EXPECT_NE(mix64(1), mix64(2));
   EXPECT_NE(hashCombine(0, 1), hashCombine(1, 0));
+}
+
+struct U64Traits {
+  static std::uint64_t empty() { return UINT64_MAX; }
+  static std::uint64_t hash(std::uint64_t K) { return mix64(K); }
+};
+
+TEST(FlatTableTest, DuplicateInsertKeepsFirstValue) {
+  FlatTable<std::uint64_t, std::uint32_t, U64Traits> T;
+  EXPECT_TRUE(T.insert(7, 70));
+  EXPECT_FALSE(T.insert(7, 71));
+  ASSERT_NE(T.find(7), nullptr);
+  EXPECT_EQ(*T.find(7), 70u);
+  EXPECT_EQ(T.size(), 1u);
+}
+
+TEST(FlatTableTest, AbsentKeysMiss) {
+  FlatSet<std::uint64_t, U64Traits> S;
+  EXPECT_EQ(S.find(0), nullptr); // Before the first allocation.
+  EXPECT_TRUE(S.insert(0));
+  EXPECT_NE(S.find(0), nullptr);
+  EXPECT_EQ(S.find(1), nullptr);
+  EXPECT_EQ(S.find(UINT64_MAX - 1), nullptr);
+}
+
+TEST(FlatTableTest, ContentsSurviveGrowth) {
+  FlatTable<std::uint64_t, std::uint32_t, U64Traits> T;
+  const std::uint32_t N = 5000; // Several doublings from the first 16.
+  for (std::uint32_t I = 0; I < N; ++I)
+    EXPECT_TRUE(T.insert(std::uint64_t(I) * 3, I));
+  EXPECT_EQ(T.size(), N);
+  EXPECT_GE(T.capacity(), 2 * N); // Load stays at or below one half.
+  for (std::uint32_t I = 0; I < N; ++I) {
+    const std::uint32_t *V = T.find(std::uint64_t(I) * 3);
+    ASSERT_NE(V, nullptr) << I;
+    EXPECT_EQ(*V, I);
+    EXPECT_EQ(T.find(std::uint64_t(I) * 3 + 1), nullptr);
+    EXPECT_FALSE(T.insert(std::uint64_t(I) * 3, 0));
+  }
+}
+
+TEST(FlatTableDeathTest, SentinelInsertAsserts) {
+  FlatSet<std::uint64_t, U64Traits> S;
+  // Only checked where assertions are compiled in; elsewhere the insert
+  // runs and must still leave the table empty.
+  EXPECT_DEBUG_DEATH(S.insert(UINT64_MAX), "sentinel");
+#ifdef NDEBUG
+  EXPECT_EQ(S.size(), 0u);
+#endif
 }
 
 TEST(StatsTest, GeometricMean) {

@@ -439,6 +439,15 @@ int main(int argc, char **argv) {
               R.Stat.Seconds * 1e3, R.Stat.DomainSize,
               static_cast<unsigned long long>(memgov::peakRssBytes() >>
                                               20));
+  const ctx::DomainCounters &DT = R.Stat.DomainTraffic;
+  std::printf("comp: %llu calls, %llu bottom before memo, %llu memo hits, "
+              "%llu memo misses; inv: %llu calls, %llu cache hits\n",
+              static_cast<unsigned long long>(DT.CompCalls),
+              static_cast<unsigned long long>(DT.CompBottom),
+              static_cast<unsigned long long>(DT.MemoHits),
+              static_cast<unsigned long long>(DT.MemoMisses),
+              static_cast<unsigned long long>(DT.InvCalls),
+              static_cast<unsigned long long>(DT.InvCacheHits));
 
   if (!OutDir.empty()) {
     std::string Err = analysis::writeResultsDir(DB, R, OutDir);
