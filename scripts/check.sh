@@ -36,12 +36,16 @@
 #
 # --asan runs a targeted address+undefined matrix in its own build
 # directory (build-asan): the engine-semantics core, the
-# fixpoint-certification suite, the contextless-flavour suite, and the
-# memory-governor suite (ctest -L 'core|verify|flavours|memory' — the
-# unify union-find's pointer juggling and the governor's new-handler
-# paths included), so the slow memory-error hunt concentrates on the
-# solver paths the verifier exercises hardest. Independent of the
-# default full-asan pass, which --no-sanitize turns off.
+# fixpoint-certification suite (verify_matrix_bloat included), the
+# contextless-flavour suite, the memory-governor suite and the batch
+# supervisor suite (ctest -L 'core|verify|flavours|memory|supervisor' —
+# the unify union-find's pointer juggling, the governor's new-handler
+# paths and crash triage through sanitized children included), so the
+# slow memory-error hunt concentrates on the solver paths the verifier
+# exercises hardest. Independent of the default full-asan pass, which
+# --no-sanitize turns off. Both sanitizer passes build RelWithDebInfo
+# with assertions on (NDEBUG dropped), so an assert a release build
+# compiles away still fails them.
 #
 # --oom additionally runs the memory-governance drills: the governor
 # unit suite (ctest -L memory), a CTP_MEM_FAULT simulated-pressure smoke
@@ -68,6 +72,12 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# The build-asan configuration shared by --asan and the default pass:
+# optimized, but with assertions compiled in.
+ASAN_CMAKE_ARGS=(-DCTP_SANITIZE=address,undefined
+                 -DCMAKE_BUILD_TYPE=RelWithDebInfo
+                 "-DCMAKE_CXX_FLAGS_RELWITHDEBINFO=-O2 -g")
 
 SANITIZE=1
 TIDY=0
@@ -212,16 +222,17 @@ if [[ "$TSAN" == 1 ]]; then
 fi
 
 if [[ "$ASAN" == 1 ]]; then
-  echo "== targeted ASan+UBSan matrix (ctest -L 'core|verify|flavours|memory') =="
-  cmake -B build-asan -S . -DCTP_SANITIZE=address,undefined >/dev/null
+  echo "== targeted ASan+UBSan matrix" \
+       "(ctest -L 'core|verify|flavours|memory|supervisor') =="
+  cmake -B build-asan -S . "${ASAN_CMAKE_ARGS[@]}" >/dev/null
   cmake --build build-asan -j"$(nproc)"
-  ctest --test-dir build-asan -j"$(nproc)" -L 'core|verify|flavours|memory' \
-    --output-on-failure
+  ctest --test-dir build-asan -j"$(nproc)" \
+    -L 'core|verify|flavours|memory|supervisor' --output-on-failure
 fi
 
 if [[ "$SANITIZE" == 1 ]]; then
   echo "== sanitizer build (address,undefined) =="
-  cmake -B build-asan -S . -DCTP_SANITIZE=address,undefined >/dev/null
+  cmake -B build-asan -S . "${ASAN_CMAKE_ARGS[@]}" >/dev/null
   cmake --build build-asan -j"$(nproc)"
   ctest --test-dir build-asan -j"$(nproc)" --output-on-failure
 fi

@@ -17,7 +17,8 @@ namespace analysis {
 namespace {
 
 // Section tags of the solver snapshot. Tags are part of the on-disk
-// format; never renumber, only append.
+// format; never renumber, only append. SecPts..SecGpts follow ProvRel
+// order (relationTag).
 enum SectionTag : std::uint32_t {
   SecMeta = 1,
   SecDomain = 2,
@@ -31,29 +32,32 @@ enum SectionTag : std::uint32_t {
   SecSubsumed = 10,
 };
 
-void putRelation(snapshot::File &F, std::uint32_t Tag,
-                 const RelationWords &R) {
+std::uint32_t relationTag(ProvRel Rel) {
+  return SecPts + static_cast<std::uint32_t>(Rel);
+}
+
+void putRelation(snapshot::File &F, ProvRel Rel, const RelationWords &R) {
   snapshot::ByteWriter W;
   W.u64(R.Head);
   W.u32Vec(R.Words);
-  F.add(Tag).Bytes = W.take();
+  F.add(relationTag(Rel)).Bytes = W.take();
 }
 
-std::string getRelation(const snapshot::File &F, std::uint32_t Tag,
-                        const char *Name, unsigned Arity, RelationWords &R) {
-  const snapshot::Section *S = F.find(Tag);
+template <class Tr>
+std::string getRelation(const snapshot::File &F, Tr, RelationWords &R) {
+  const std::string Name = Tr::Name;
+  const snapshot::Section *S = F.find(relationTag(Tr::Rel));
   if (!S)
-    return std::string("snapshot missing relation section '") + Name + "'";
+    return "snapshot missing relation section '" + Name + "'";
   snapshot::ByteReader Rd(S->Bytes);
   R.Head = Rd.u64();
   if (!Rd.u32Vec(R.Words) || !Rd.atEnd())
-    return std::string("snapshot relation section '") + Name +
-           "' is malformed";
-  if (R.Words.size() % Arity != 0)
-    return std::string("snapshot relation section '") + Name +
+    return "snapshot relation section '" + Name + "' is malformed";
+  if (R.Words.size() % Tr::Arity != 0)
+    return "snapshot relation section '" + Name +
            "' is not a whole number of tuples";
-  if (R.Head > R.Words.size() / Arity)
-    return std::string("snapshot relation section '") + Name +
+  if (R.Head > R.Words.size() / Tr::Arity)
+    return "snapshot relation section '" + Name +
            "' has head past its tuple count";
   return {};
 }
@@ -110,12 +114,7 @@ std::string writeSnapshot(const SolverSnapshot &S, const std::string &Path) {
     W.u32Vec(S.ReachCtxtWords);
     F.add(SecReachCtxts).Bytes = W.take();
   }
-  putRelation(F, SecPts, S.Pts);
-  putRelation(F, SecHpts, S.Hpts);
-  putRelation(F, SecHload, S.Hload);
-  putRelation(F, SecCall, S.Call);
-  putRelation(F, SecReach, S.Reach);
-  putRelation(F, SecGpts, S.Gpts);
+  forEachRelation([&](auto Tr) { putRelation(F, Tr.Rel, Tr.in(S)); });
   {
     snapshot::ByteWriter W;
     W.u32Vec(S.SubsumedWords);
@@ -177,20 +176,13 @@ std::string readSnapshot(const std::string &Path, SolverSnapshot &S) {
           getWords(F, SecReachCtxts, "reach-contexts", S.ReachCtxtWords);
       !E.empty())
     return E;
-  if (std::string E = getRelation(F, SecPts, "pts", 3, S.Pts); !E.empty())
-    return E;
-  if (std::string E = getRelation(F, SecHpts, "hpts", 4, S.Hpts); !E.empty())
-    return E;
-  if (std::string E = getRelation(F, SecHload, "hload", 4, S.Hload);
-      !E.empty())
-    return E;
-  if (std::string E = getRelation(F, SecCall, "call", 3, S.Call); !E.empty())
-    return E;
-  if (std::string E = getRelation(F, SecReach, "reach", 2, S.Reach);
-      !E.empty())
-    return E;
-  if (std::string E = getRelation(F, SecGpts, "gpts", 3, S.Gpts); !E.empty())
-    return E;
+  std::string RelErr;
+  forEachRelation([&](auto Tr) {
+    if (RelErr.empty())
+      RelErr = getRelation(F, Tr, Tr.in(S));
+  });
+  if (!RelErr.empty())
+    return RelErr;
   if (std::string E = getWords(F, SecSubsumed, "subsumed", S.SubsumedWords);
       !E.empty())
     return E;

@@ -14,11 +14,13 @@
 ///     flattened in id order (dense first-seen interning makes a replayed
 ///     import reproduce the exact id assignment);
 ///   - every derived relation in insertion order, plus a per-relation
-///     "head" marking how many tuples were already processed — for the
-///     native solver the FIFO worklists are always exactly the suffix of
-///     the insertion-order relation vectors, and at a semi-naive round
-///     boundary the datalog engine's delta is likewise a suffix of each
-///     relation's rows, so (rows, head) is a complete work-state encoding;
+///     "head" marking how many tuples were already processed — the native
+///     solver's worklist is by construction the suffix Rows[Head..] of
+///     its Relation (only narrow incremental seeding queues anything
+///     else, and incremental re-solves never checkpoint), and at a
+///     semi-naive round boundary the datalog engine's delta is likewise a
+///     suffix of each relation's rows, so (rows, head) is a complete
+///     work-state encoding;
 ///   - progress counters, so a resumed run reports cumulative totals
 ///     identical to an uninterrupted one.
 ///
@@ -33,6 +35,7 @@
 #ifndef CTP_ANALYSIS_CHECKPOINT_H
 #define CTP_ANALYSIS_CHECKPOINT_H
 
+#include "analysis/Facts.h"
 #include "ctx/Config.h"
 #include "ctx/Ctxt.h"
 #include "support/Budget.h"
@@ -74,6 +77,19 @@ struct RelationWords {
   std::vector<std::uint32_t> Words;
   std::uint64_t Head = 0;
 };
+
+/// Flattens \p Rows (insertion order) with the first \p Head processed.
+template <class Fact>
+RelationWords encodeRelation(const std::vector<Fact> &Rows,
+                             std::uint64_t Head) {
+  RelationWords R;
+  R.Head = Head;
+  R.Words.reserve(Rows.size() * FactTraits<Fact>::Arity);
+  for (const Fact &F : Rows)
+    for (std::uint32_t W : FactTraits<Fact>::encode(F))
+      R.Words.push_back(W);
+  return R;
+}
 
 /// The full checkpointed state of one solver run.
 struct SolverSnapshot {

@@ -427,38 +427,20 @@ Results solveOnce(const FactDB &DB, const ctx::Config &Cfg,
       return Fail("snapshot transformation domain is inconsistent");
     if (!decodeCtxtInterner(S.ReachCtxtWords, *RC))
       return Fail("snapshot reach-context table is inconsistent");
-    const std::uint32_t NumT = static_cast<std::uint32_t>(D->size());
-    const std::uint32_t NumCtxt = RC->size();
-    const auto NumVars = static_cast<std::uint32_t>(DB.numVars());
-    const auto NumHeaps = static_cast<std::uint32_t>(DB.numHeaps());
-    const auto NumFields = static_cast<std::uint32_t>(DB.numFields());
-    const auto NumInvokes = static_cast<std::uint32_t>(DB.numInvokes());
-    const auto NumMethods = static_cast<std::uint32_t>(DB.numMethods());
-    const auto NumGlobals = static_cast<std::uint32_t>(DB.numGlobals());
-    auto RelOk = [](const RelationWords &R,
-                    std::initializer_list<std::uint32_t> Limits) {
-      const unsigned Arity = static_cast<unsigned>(Limits.size());
-      for (std::size_t I = 0; I < R.Words.size(); I += Arity) {
-        unsigned C = 0;
-        for (std::uint32_t Limit : Limits)
-          if (R.Words[I + C++] >= Limit)
-            return false;
-      }
-      return true;
-    };
-    if (!RelOk(S.Pts, {NumVars, NumHeaps, NumT}) ||
-        !RelOk(S.Hpts, {NumHeaps, NumFields, NumHeaps, NumT}) ||
-        !RelOk(S.Hload, {NumHeaps, NumFields, NumVars, NumT}) ||
-        !RelOk(S.Call, {NumInvokes, NumMethods, NumT}) ||
-        !RelOk(S.Reach, {NumMethods, NumCtxt}) ||
-        !RelOk(S.Gpts, {NumGlobals, NumHeaps, NumT}))
+    const IdLimits L = idLimits(DB, D->size(), RC->size());
+    bool InRange = true;
+    forEachRelation([&](auto Tr) {
+      using Fact = typename decltype(Tr)::Fact;
+      const std::vector<std::uint32_t> &W = Tr.in(S).Words;
+      for (std::size_t I = 0; InRange && I < W.size(); I += Tr.Arity)
+        InRange = inRange<Fact>(&W[I], L);
+    });
+    if (!InRange)
       return Fail("snapshot relations have out-of-range ids");
-    Prog.restoreDerived(RPts, tuplesOf(S.Pts.Words, 3), S.Pts.Head);
-    Prog.restoreDerived(RHpts, tuplesOf(S.Hpts.Words, 4), S.Hpts.Head);
-    Prog.restoreDerived(RHload, tuplesOf(S.Hload.Words, 4), S.Hload.Head);
-    Prog.restoreDerived(RCall, tuplesOf(S.Call.Words, 3), S.Call.Head);
-    Prog.restoreDerived(RReach, tuplesOf(S.Reach.Words, 2), S.Reach.Head);
-    Prog.restoreDerived(RGpts, tuplesOf(S.Gpts.Words, 3), S.Gpts.Head);
+    forEachRelation([&](auto Tr) {
+      Prog.restoreDerived(Prog.relationId(Tr.Name),
+                          tuplesOf(Tr.in(S).Words, Tr.Arity), Tr.in(S).Head);
+    });
     Prog.restoreCounters(static_cast<std::size_t>(S.Rounds),
                          static_cast<std::size_t>(S.DerivedTuples),
                          static_cast<std::size_t>(S.Derivations));
@@ -467,41 +449,38 @@ Results solveOnce(const FactDB &DB, const ctx::Config &Cfg,
   SolverSnapshot LastSnap;
   bool WroteSnap = false;
   std::string CkptErr;
+  // A snapshot of every derived relation's rows. Each head is the start
+  // of the relation's delta in the round-boundary view \p V or, without
+  // one, the relation's size (a converged image).
+  auto Capture = [&](const Program::CheckpointView *V) {
+    SolverSnapshot S;
+    S.BackendTag = SolverSnapshot::Backend::Datalog;
+    S.Collapse = false;
+    S.Config = Cfg;
+    S.Fingerprint = FP;
+    S.LayoutHash = LH;
+    D->exportInterned(S.DomainWords);
+    encodeCtxtInterner(*RC, S.ReachCtxtWords);
+    forEachRelation([&](auto Tr) {
+      const std::uint32_t Rel = Prog.relationId(Tr.Name);
+      const std::vector<Tuple> &Rows = Prog.relation(Rel).rows();
+      RelationWords &Dst = Tr.in(S);
+      Dst.Head = Rows.size();
+      if (V)
+        for (const auto &St : V->Derived)
+          if (St.Rel == Rel)
+            Dst.Head = St.DeltaStart;
+      for (const Tuple &T : Rows)
+        Dst.Words.insert(Dst.Words.end(), T.V.begin(), T.V.begin() + T.N);
+      S.Progress.PendingWork += Rows.size() - Dst.Head;
+    });
+    return S;
+  };
   if (Ckpt.enabled()) {
     const std::string Path = checkpointPath(Ckpt.Dir);
     Prog.setCheckpointHook(
         Ckpt.EveryDerivations, [&, Path](const Program::CheckpointView &V) {
-          SolverSnapshot S;
-          S.BackendTag = SolverSnapshot::Backend::Datalog;
-          S.Collapse = false;
-          S.Config = Cfg;
-          S.Fingerprint = FP;
-          S.LayoutHash = LH;
-          D->exportInterned(S.DomainWords);
-          encodeCtxtInterner(*RC, S.ReachCtxtWords);
-          std::size_t Pending = 0;
-          for (const auto &St : V.Derived) {
-            RelationWords *Dst = nullptr;
-            if (St.Rel == RPts)
-              Dst = &S.Pts;
-            else if (St.Rel == RHpts)
-              Dst = &S.Hpts;
-            else if (St.Rel == RHload)
-              Dst = &S.Hload;
-            else if (St.Rel == RCall)
-              Dst = &S.Call;
-            else if (St.Rel == RReach)
-              Dst = &S.Reach;
-            else if (St.Rel == RGpts)
-              Dst = &S.Gpts;
-            if (!Dst)
-              continue;
-            Dst->Head = St.DeltaStart;
-            for (const Tuple &T : *St.Rows)
-              for (unsigned C = 0; C < T.N; ++C)
-                Dst->Words.push_back(T.V[C]);
-            Pending += St.Rows->size() - St.DeltaStart;
-          }
+          SolverSnapshot S = Capture(&V);
           S.Rounds = V.Rounds;
           S.DerivedTuples = V.DerivedTuples;
           S.Derivations = V.Derivations;
@@ -509,7 +488,6 @@ Results solveOnce(const FactDB &DB, const ctx::Config &Cfg,
           S.Term = TerminationReason::Converged;
           S.Progress.Iterations = V.Rounds;
           S.Progress.Derivations = V.Derivations;
-          S.Progress.PendingWork = Pending;
           std::string E = analysis::writeSnapshot(S, Path);
           if (E.empty()) {
             LastSnap = std::move(S);
@@ -530,24 +508,7 @@ Results solveOnce(const FactDB &DB, const ctx::Config &Cfg,
         // Mirror the native solver: a final converged snapshot with every
         // relation head at size, so a restore warm-starts straight into
         // the fixpoint.
-        SolverSnapshot S;
-        S.BackendTag = SolverSnapshot::Backend::Datalog;
-        S.Collapse = false;
-        S.Config = Cfg;
-        S.Fingerprint = FP;
-        S.LayoutHash = LH;
-        D->exportInterned(S.DomainWords);
-        encodeCtxtInterner(*RC, S.ReachCtxtWords);
-        const std::pair<std::uint32_t, RelationWords *> Rels[] = {
-            {RPts, &S.Pts},     {RHpts, &S.Hpts},   {RHload, &S.Hload},
-            {RCall, &S.Call},   {RReach, &S.Reach}, {RGpts, &S.Gpts}};
-        for (const auto &[Rel, Dst] : Rels) {
-          const std::vector<Tuple> &Rows = Prog.relation(Rel).rows();
-          Dst->Head = Rows.size();
-          for (const Tuple &T : Rows)
-            for (unsigned C = 0; C < T.N; ++C)
-              Dst->Words.push_back(T.V[C]);
-        }
+        SolverSnapshot S = Capture(nullptr);
         S.Rounds = RS.Rounds;
         S.DerivedTuples = RS.DerivedTuples;
         S.Derivations = Prog.numDerivations();
@@ -555,7 +516,6 @@ Results solveOnce(const FactDB &DB, const ctx::Config &Cfg,
         S.Term = TerminationReason::Converged;
         S.Progress.Iterations = RS.Rounds;
         S.Progress.Derivations = Prog.numDerivations();
-        S.Progress.PendingWork = 0;
         std::string E =
             analysis::writeSnapshot(S, checkpointPath(Ckpt.Dir));
         if (!E.empty() && CkptErr.empty())
@@ -581,24 +541,11 @@ Results solveOnce(const FactDB &DB, const ctx::Config &Cfg,
 
   Results R;
   R.Config = Cfg;
-  for (const Tuple &T : Prog.relation(RPts).rows())
-    R.Pts.push_back({T[0], T[1], T[2]});
-  for (const Tuple &T : Prog.relation(RHpts).rows())
-    R.Hpts.push_back({T[0], T[1], T[2], T[3]});
-  for (const Tuple &T : Prog.relation(RHload).rows())
-    R.Hload.push_back({T[0], T[1], T[2], T[3]});
-  for (const Tuple &T : Prog.relation(RCall).rows())
-    R.Call.push_back({T[0], T[1], T[2]});
-  for (const Tuple &T : Prog.relation(RReach).rows())
-    R.Reach.push_back({T[0], T[1]});
-  for (const Tuple &T : Prog.relation(RGpts).rows())
-    R.Gpts.push_back({T[0], T[1], T[2]});
-  R.Stat.NumGpts = R.Gpts.size();
-  R.Stat.NumPts = R.Pts.size();
-  R.Stat.NumHpts = R.Hpts.size();
-  R.Stat.NumHload = R.Hload.size();
-  R.Stat.NumCall = R.Call.size();
-  R.Stat.NumReach = R.Reach.size();
+  forEachRelation([&](auto Tr) {
+    for (const Tuple &T : Prog.relation(Prog.relationId(Tr.Name)).rows())
+      Tr.in(R).push_back(Tr.decode(T.V.data()));
+  });
+  R.countRelations();
   R.Stat.DomainSize = Dom->size();
   R.Stat.DomainTraffic = Dom->counters();
   R.Stat.Seconds = Timer.seconds();

@@ -57,48 +57,14 @@ SolverSnapshot analysis::snapshotFromResults(const Results &R,
 
   // Converged: every head sits at its relation's size, so a restore
   // replays all tuples as already-processed and converges immediately.
-  S.Pts.Head = R.Pts.size();
-  for (const PtsFact &F : R.Pts) {
-    S.Pts.Words.push_back(F.Var);
-    S.Pts.Words.push_back(F.Heap);
-    S.Pts.Words.push_back(F.T);
-  }
-  S.Hpts.Head = R.Hpts.size();
-  for (const HptsFact &F : R.Hpts) {
-    S.Hpts.Words.push_back(F.Base);
-    S.Hpts.Words.push_back(F.Field);
-    S.Hpts.Words.push_back(F.Heap);
-    S.Hpts.Words.push_back(F.T);
-  }
-  S.Hload.Head = R.Hload.size();
-  for (const HloadFact &F : R.Hload) {
-    S.Hload.Words.push_back(F.Base);
-    S.Hload.Words.push_back(F.Field);
-    S.Hload.Words.push_back(F.Var);
-    S.Hload.Words.push_back(F.T);
-  }
-  S.Call.Head = R.Call.size();
-  for (const CallFact &F : R.Call) {
-    S.Call.Words.push_back(F.Invoke);
-    S.Call.Words.push_back(F.Method);
-    S.Call.Words.push_back(F.T);
-  }
-  S.Reach.Head = R.Reach.size();
-  for (const ReachFact &F : R.Reach) {
-    S.Reach.Words.push_back(F.Method);
-    S.Reach.Words.push_back(F.CtxtId);
-  }
-  S.Gpts.Head = R.Gpts.size();
-  for (const GptsFact &F : R.Gpts) {
-    S.Gpts.Words.push_back(F.Global);
-    S.Gpts.Words.push_back(F.Heap);
-    S.Gpts.Words.push_back(F.T);
-  }
+  forEachRelation([&](auto Tr) {
+    const auto &Rows = Tr.in(R);
+    Tr.in(S) = encodeRelation(Rows, Rows.size());
+    S.Tuples += Rows.size();
+  });
 
   S.WorkItems = R.Stat.WorkItems;
   S.Derivations = R.Stat.Progress.Derivations;
-  S.Tuples = R.Pts.size() + R.Hpts.size() + R.Hload.size() + R.Call.size() +
-             R.Reach.size() + R.Gpts.size();
   S.CollapsedPts = 0;
   S.Term = TerminationReason::Converged;
   S.Progress = R.Stat.Progress;

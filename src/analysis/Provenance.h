@@ -46,10 +46,6 @@
 namespace ctp {
 namespace analysis {
 
-/// Which derived relation a provenance node's fact belongs to. FactKeys
-/// are only unique within one relation, so nodes intern (relation, key).
-enum class ProvRel : std::uint8_t { Pts, Hpts, Hload, Call, Reach, Gpts };
-
 /// The rule that first derived a fact (the solver's Figure 3 sites, with
 /// STORE/PARAM/RET/IND collapsed across their driving sides — both sides
 /// fire the same logical rule).

@@ -12,6 +12,15 @@
 using namespace ctp;
 using namespace ctp::analysis;
 
+void Results::countRelations() {
+  Stat.NumPts = Pts.size();
+  Stat.NumHpts = Hpts.size();
+  Stat.NumHload = Hload.size();
+  Stat.NumCall = Call.size();
+  Stat.NumReach = Reach.size();
+  Stat.NumGpts = Gpts.size();
+}
+
 std::vector<std::array<std::uint32_t, 2>> Results::ciPts() const {
   std::vector<std::array<std::uint32_t, 2>> Out;
   Out.reserve(Pts.size());

@@ -95,6 +95,9 @@ public:
   /// actually ran — see SolverOptions::Provenance).
   std::unique_ptr<ProvenanceGraph> Prov;
 
+  /// Sets Stat's six relation counts from the relation vectors.
+  void countRelations();
+
   // --- Context-insensitive projections (sorted, deduplicated). ---
 
   /// {(Var, Heap)} with the transformation projected out.

@@ -71,19 +71,10 @@ const char *analysis::ruleName(ProvRule R) {
 }
 
 const char *analysis::relName(ProvRel R) {
-  switch (R) {
-  case ProvRel::Pts:
-    return "pts";
-  case ProvRel::Hpts:
-    return "hpts";
-  case ProvRel::Hload:
-    return "hload";
-  case ProvRel::Call:
-    return "call";
-  case ProvRel::Reach:
-    return "reach";
-  case ProvRel::Gpts:
-    return "gpts";
-  }
-  return "?";
+  const char *Name = "?";
+  forEachRelation([&](auto Tr) {
+    if (Tr.Rel == R)
+      Name = Tr.Name;
+  });
+  return Name;
 }

@@ -14,8 +14,8 @@
 #include "support/FlatTable.h"
 #include "support/Stats.h"
 
+#include <algorithm>
 #include <cassert>
-#include <deque>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -47,6 +47,45 @@ struct FactKeyTraits {
 };
 
 using FactSet = FlatSet<FactKey, FactKeyTraits>;
+
+/// One derived relation: its dedup set, its rows in insertion order, and
+/// its FIFO worklist. Inserting a row queues it, so pending work is
+/// Rows[Head..], preceded only by Seeds[SeedPos..] — copies of processed
+/// rows that narrow incremental seeding queues again (duplicates kept).
+/// Without seeds the worklist is exactly the relation's suffix, which is
+/// the (rows, head) state a checkpoint records.
+template <class F> struct Relation {
+  using Fact = F;
+  FactSet Set;
+  std::vector<Fact> Rows;
+  std::size_t Head = 0;
+  std::vector<Fact> Seeds;
+  std::size_t SeedPos = 0;
+
+  std::size_t pending() const {
+    return Seeds.size() - SeedPos + Rows.size() - Head;
+  }
+  /// Copies the next pending fact out (firing it may grow Rows).
+  bool pop(Fact &Out) {
+    if (SeedPos < Seeds.size())
+      Out = Seeds[SeedPos++];
+    else if (Head < Rows.size())
+      Out = Rows[Head++];
+    else
+      return false;
+    return true;
+  }
+};
+
+/// The six derived relations, named as FactTraits<Fact>::in expects.
+struct DerivedRelations {
+  Relation<PtsFact> Pts;
+  Relation<HptsFact> Hpts;
+  Relation<HloadFact> Hload;
+  Relation<CallFact> Call;
+  Relation<ReachFact> Reach;
+  Relation<GptsFact> Gpts;
+};
 
 /// Hashed membership sets of the removed input rows, one per predicate a
 /// provenance edge can ground in. Triples are stored hashed; a collision
@@ -158,97 +197,23 @@ public:
     if (!analysis::decodeCtxtInterner(S.ReachCtxtWords, *ReachCtxts))
       return "snapshot reach-context table is inconsistent";
 
-    const std::uint32_t NumT = static_cast<std::uint32_t>(Dom->size());
-    const std::uint32_t NumCtxt = ReachCtxts->size();
-
-    const std::vector<std::uint32_t> &PW = S.Pts.Words;
-    for (std::size_t I = 0; I < PW.size(); I += 3) {
-      PtsFact F{PW[I], PW[I + 1], PW[I + 2]};
-      if (F.Var >= DB.numVars() || F.Heap >= DB.numHeaps() || F.T >= NumT)
-        return "snapshot pts relation has out-of-range ids";
-      if (!PtsSet.insert(keyOf(F)))
-        return "snapshot pts relation has duplicate tuples";
-      if (Collapse && !collapseInsert(F.Var, F.Heap, F.T))
-        return "snapshot pts relation disagrees with its collapse state";
-      PtsRel.push_back(F);
-      PtsByVar[F.Var].push_back({F.Heap, F.T});
-      if (I / 3 >= S.Pts.Head)
-        PtsWork.push_back(F);
-    }
+    const IdLimits L = idLimits(DB, Dom->size(), ReachCtxts->size());
+    std::string Err;
+    forEachRelation([&](auto Tr) {
+      if (Err.empty())
+        Err = restore(Tr.in(Rel), Tr.in(S), L);
+    });
+    if (!Err.empty())
+      return Err;
     const std::vector<std::uint32_t> &SW = S.SubsumedWords;
     for (std::size_t I = 0; I < SW.size(); I += 3) {
-      PtsFact F{SW[I], SW[I + 1], SW[I + 2]};
-      if (F.Var >= DB.numVars() || F.Heap >= DB.numHeaps() || F.T >= NumT)
+      if (!inRange<PtsFact>(&SW[I], L))
         return "snapshot subsumed-pts section has out-of-range ids";
-      if (!PtsSet.insert(keyOf(F)))
+      PtsFact F = FactTraits<PtsFact>::decode(&SW[I]);
+      if (!Rel.Pts.Set.insert(keyOf(F)))
         return "snapshot subsumed-pts section has duplicate tuples";
       if (Ckpt.enabled())
         SubsumedAtInsert.push_back(F);
-    }
-    const std::vector<std::uint32_t> &HW = S.Hpts.Words;
-    for (std::size_t I = 0; I < HW.size(); I += 4) {
-      HptsFact F{HW[I], HW[I + 1], HW[I + 2], HW[I + 3]};
-      if (F.Base >= DB.numHeaps() || F.Field >= DB.numFields() ||
-          F.Heap >= DB.numHeaps() || F.T >= NumT)
-        return "snapshot hpts relation has out-of-range ids";
-      if (!HptsSet.insert(keyOf(F)))
-        return "snapshot hpts relation has duplicate tuples";
-      HptsRel.push_back(F);
-      HptsByBaseField[pairKey(F.Base, F.Field)].push_back({F.Heap, F.T});
-      if (I / 4 >= S.Hpts.Head)
-        HptsWork.push_back(F);
-    }
-    const std::vector<std::uint32_t> &LW = S.Hload.Words;
-    for (std::size_t I = 0; I < LW.size(); I += 4) {
-      HloadFact F{LW[I], LW[I + 1], LW[I + 2], LW[I + 3]};
-      if (F.Base >= DB.numHeaps() || F.Field >= DB.numFields() ||
-          F.Var >= DB.numVars() || F.T >= NumT)
-        return "snapshot hload relation has out-of-range ids";
-      if (!HloadSet.insert(keyOf(F)))
-        return "snapshot hload relation has duplicate tuples";
-      HloadRel.push_back(F);
-      HloadByBaseField[pairKey(F.Base, F.Field)].push_back({F.Var, F.T});
-      if (I / 4 >= S.Hload.Head)
-        HloadWork.push_back(F);
-    }
-    const std::vector<std::uint32_t> &CW = S.Call.Words;
-    for (std::size_t I = 0; I < CW.size(); I += 3) {
-      CallFact F{CW[I], CW[I + 1], CW[I + 2]};
-      if (F.Invoke >= DB.numInvokes() || F.Method >= DB.numMethods() ||
-          F.T >= NumT)
-        return "snapshot call relation has out-of-range ids";
-      if (!CallSet.insert(keyOf(F)))
-        return "snapshot call relation has duplicate tuples";
-      CallRel.push_back(F);
-      CallByInvoke[F.Invoke].push_back({F.Method, F.T});
-      CallByCallee[F.Method].push_back({F.Invoke, F.T});
-      if (I / 3 >= S.Call.Head)
-        CallWork.push_back(F);
-    }
-    const std::vector<std::uint32_t> &RW = S.Reach.Words;
-    for (std::size_t I = 0; I < RW.size(); I += 2) {
-      ReachFact F{RW[I], RW[I + 1]};
-      if (F.Method >= DB.numMethods() || F.CtxtId >= NumCtxt)
-        return "snapshot reach relation has out-of-range ids";
-      if (!ReachSet.insert(keyOf(F)))
-        return "snapshot reach relation has duplicate tuples";
-      ReachRel.push_back(F);
-      ReachByMethod[F.Method].push_back(F.CtxtId);
-      if (I / 2 >= S.Reach.Head)
-        ReachWork.push_back(F);
-    }
-    const std::vector<std::uint32_t> &GW = S.Gpts.Words;
-    for (std::size_t I = 0; I < GW.size(); I += 3) {
-      GptsFact F{GW[I], GW[I + 1], GW[I + 2]};
-      if (F.Global >= DB.numGlobals() || F.Heap >= DB.numHeaps() ||
-          F.T >= NumT)
-        return "snapshot gpts relation has out-of-range ids";
-      if (!GptsSet.insert(keyOf(F)))
-        return "snapshot gpts relation has duplicate tuples";
-      GptsRel.push_back(F);
-      GptsByGlobal[F.Global].push_back({F.Heap, F.T});
-      if (I / 3 >= S.Gpts.Head)
-        GptsWork.push_back(F);
     }
 
     BaseWorkItems = static_cast<std::size_t>(S.WorkItems);
@@ -366,67 +331,13 @@ public:
     // Replay the survivors checkpoint-style (no rule firing, no meter
     // charges): dedup sets, relation vectors, and join indices rebuild as
     // side effects, in the previous insertion order.
-    for (const PtsFact &F : Prev.Pts) {
-      std::uint32_t Node = G.lookup(ProvRel::Pts, keyOf(F));
-      if (Node == NoNode)
-        return "previous pts tuple has no recorded derivation";
-      if (Invalid[Node])
-        continue;
-      PtsSet.insert(keyOf(F));
-      PtsRel.push_back(F);
-      PtsByVar[F.Var].push_back({F.Heap, F.T});
-    }
-    for (const HptsFact &F : Prev.Hpts) {
-      std::uint32_t Node = G.lookup(ProvRel::Hpts, keyOf(F));
-      if (Node == NoNode)
-        return "previous hpts tuple has no recorded derivation";
-      if (Invalid[Node])
-        continue;
-      HptsSet.insert(keyOf(F));
-      HptsRel.push_back(F);
-      HptsByBaseField[pairKey(F.Base, F.Field)].push_back({F.Heap, F.T});
-    }
-    for (const HloadFact &F : Prev.Hload) {
-      std::uint32_t Node = G.lookup(ProvRel::Hload, keyOf(F));
-      if (Node == NoNode)
-        return "previous hload tuple has no recorded derivation";
-      if (Invalid[Node])
-        continue;
-      HloadSet.insert(keyOf(F));
-      HloadRel.push_back(F);
-      HloadByBaseField[pairKey(F.Base, F.Field)].push_back({F.Var, F.T});
-    }
-    for (const CallFact &F : Prev.Call) {
-      std::uint32_t Node = G.lookup(ProvRel::Call, keyOf(F));
-      if (Node == NoNode)
-        return "previous call tuple has no recorded derivation";
-      if (Invalid[Node])
-        continue;
-      CallSet.insert(keyOf(F));
-      CallRel.push_back(F);
-      CallByInvoke[F.Invoke].push_back({F.Method, F.T});
-      CallByCallee[F.Method].push_back({F.Invoke, F.T});
-    }
-    for (const ReachFact &F : Prev.Reach) {
-      std::uint32_t Node = G.lookup(ProvRel::Reach, keyOf(F));
-      if (Node == NoNode)
-        return "previous reach tuple has no recorded derivation";
-      if (Invalid[Node])
-        continue;
-      ReachSet.insert(keyOf(F));
-      ReachRel.push_back(F);
-      ReachByMethod[F.Method].push_back(F.CtxtId);
-    }
-    for (const GptsFact &F : Prev.Gpts) {
-      std::uint32_t Node = G.lookup(ProvRel::Gpts, keyOf(F));
-      if (Node == NoNode)
-        return "previous gpts tuple has no recorded derivation";
-      if (Invalid[Node])
-        continue;
-      GptsSet.insert(keyOf(F));
-      GptsRel.push_back(F);
-      GptsByGlobal[F.Global].push_back({F.Heap, F.T});
-    }
+    std::string Err;
+    forEachRelation([&](auto Tr) {
+      if (Err.empty())
+        Err = replaySurvivors(Tr.in(Rel), Tr.in(Prev), G, Invalid);
+    });
+    if (!Err.empty())
+      return Err;
 
     // Import the surviving derivation edges in node-id order so premise
     // remaps are always resolved before they are referenced. New
@@ -454,18 +365,7 @@ public:
       // already-drained survivors is found again. Dedup makes re-firing
       // cheap (no re-insertion); this still skips the cold solve's
       // domain/interning work and its from-nothing derivation cascade.
-      for (const PtsFact &F : PtsRel)
-        PtsWork.push_back(F);
-      for (const HptsFact &F : HptsRel)
-        HptsWork.push_back(F);
-      for (const HloadFact &F : HloadRel)
-        HloadWork.push_back(F);
-      for (const CallFact &F : CallRel)
-        CallWork.push_back(F);
-      for (const ReachFact &F : ReachRel)
-        ReachWork.push_back(F);
-      for (const GptsFact &F : GptsRel)
-        GptsWork.push_back(F);
+      forEachRelation([&](auto Tr) { Tr.in(Rel).Head = 0; });
     } else {
       // Pure narrow additions: seed only the tuples the new rows can join
       // against — one driving side per rule suffices because the fire-time
@@ -474,7 +374,7 @@ public:
       // surviving ones.)
       auto SeedPtsOf = [this](std::uint32_t Var) {
         for (const auto &[Heap, T] : PtsByVar[Var])
-          PtsWork.push_back({Var, Heap, T});
+          Rel.Pts.Seeds.push_back({Var, Heap, T});
       };
       for (const auto &F : D.AddAssigns)
         SeedPtsOf(F.From);
@@ -496,22 +396,22 @@ public:
         SeedPtsOf(F.From);
       for (const auto &F : D.AddFormals)
         for (const auto &[Invoke, T] : CallByCallee[F.Method])
-          CallWork.push_back({Invoke, F.Method, T});
+          Rel.Call.Seeds.push_back({Invoke, F.Method, T});
       for (const auto &F : D.AddAssignReturns)
         for (const auto &[Method, T] : CallByInvoke[F.Invoke])
-          CallWork.push_back({F.Invoke, Method, T});
+          Rel.Call.Seeds.push_back({F.Invoke, Method, T});
       for (const auto &F : D.AddCatches)
         for (const auto &[Method, T] : CallByInvoke[F.Invoke])
-          CallWork.push_back({F.Invoke, Method, T});
+          Rel.Call.Seeds.push_back({F.Invoke, Method, T});
       for (const auto &F : D.AddStaticInvokes)
         for (std::uint32_t CtxId : ReachByMethod[F.InMethod])
-          ReachWork.push_back({F.InMethod, CtxId});
+          Rel.Reach.Seeds.push_back({F.InMethod, CtxId});
       for (const auto &F : D.AddAssignNews)
         for (std::uint32_t CtxId : ReachByMethod[F.InMethod])
-          ReachWork.push_back({F.InMethod, CtxId});
+          Rel.Reach.Seeds.push_back({F.InMethod, CtxId});
       for (const auto &F : D.AddGlobalLoads)
         for (const auto &[Heap, T] : GptsByGlobal[F.Global])
-          GptsWork.push_back({F.Global, Heap, T});
+          Rel.Gpts.Seeds.push_back({F.Global, Heap, T});
     }
     return {};
   }
@@ -546,29 +446,24 @@ public:
 
     Results R;
     R.Config = Cfg;
+    // Copies, not moves: an exact-size copy keeps the growth slack of the
+    // relation vectors out of the Results that outlive the solver.
+    forEachRelation([&](auto Tr) {
+      const auto &Rows = Tr.in(Rel).Rows;
+      Tr.in(R).assign(Rows.begin(), Rows.end());
+    });
     if (Collapse) {
       // Report only the live (non-retired) facts.
+      R.Pts.clear();
       for (const auto &[Key, Ts] : LivePts) {
         std::uint32_t Var = static_cast<std::uint32_t>(Key >> 32);
         std::uint32_t Heap = static_cast<std::uint32_t>(Key);
         for (TransformId T : Ts)
           R.Pts.push_back({Var, Heap, T});
       }
-    } else {
-      R.Pts.assign(PtsRel.begin(), PtsRel.end());
     }
-    R.Hpts.assign(HptsRel.begin(), HptsRel.end());
-    R.Hload.assign(HloadRel.begin(), HloadRel.end());
-    R.Call.assign(CallRel.begin(), CallRel.end());
-    R.Reach.assign(ReachRel.begin(), ReachRel.end());
-    R.Gpts.assign(GptsRel.begin(), GptsRel.end());
-    R.Stat.NumGpts = GptsRel.size();
-    R.Stat.NumPts = R.Pts.size();
+    R.countRelations();
     R.Stat.CollapsedPts = CollapsedPts;
-    R.Stat.NumHpts = HptsRel.size();
-    R.Stat.NumHload = HloadRel.size();
-    R.Stat.NumCall = CallRel.size();
-    R.Stat.NumReach = ReachRel.size();
     R.Stat.DomainSize = Dom->size();
     R.Stat.DomainTraffic = Dom->counters();
     R.Stat.WorkItems = BaseWorkItems + WorkItems;
@@ -680,29 +575,61 @@ private:
     return SubtypePairs.count(pairKey(Sub, Super)) != 0;
   }
 
-  //===--- Derived-fact insertion (dedup + index update + enqueue) --------===//
+  //===--- Derived-fact insertion (dedup + admit + append) ----------------===//
 
-  /// All addX methods return true exactly when the tuple was newly
-  /// appended to its relation — the moment a provenance edge, if enabled,
-  /// must be noted by the rule site (which alone knows the premises).
-  bool addPts(std::uint32_t Var, std::uint32_t Heap, TransformId T) {
+  /// Dedups \p F and appends it to its relation, which queues it. \returns
+  /// true exactly when the tuple is new — the moment a provenance edge,
+  /// if enabled, must be noted by the rule site (which alone knows the
+  /// premises).
+  template <class Fact> bool add(const Fact &F) {
     Meter.chargeDerivations();
-    PtsFact F{Var, Heap, T};
-    if (!PtsSet.insert(keyOf(F)))
+    Relation<Fact> &R = FactTraits<Fact>::in(Rel);
+    if (!R.Set.insert(keyOf(F)) || !admit(F))
       return false;
-    if (Collapse && !collapseInsert(Var, Heap, T)) {
-      // The fact occupies the dedup set but never reaches the relation;
-      // a checkpoint must carry it separately or a resumed run would
-      // re-attempt (and re-count) the same subsumed derivations.
-      if (Ckpt.enabled())
-        SubsumedAtInsert.push_back(F);
-      return false;
-    }
     Meter.chargeTuple();
-    PtsRel.push_back(F);
-    PtsByVar[Var].push_back({Heap, T});
-    PtsWork.push_back(F);
+    append(R, F);
     return true;
+  }
+
+  bool addReach(std::uint32_t Method, const CtxtVec &Ctx) {
+    return add(ReachFact{Method, ReachCtxts->intern(Ctx)});
+  }
+
+  template <class Fact> void append(Relation<Fact> &R, const Fact &F) {
+    R.Rows.push_back(F);
+    index(F);
+  }
+
+  /// Join-index updates, one per relation.
+  void index(const PtsFact &F) { PtsByVar[F.Var].push_back({F.Heap, F.T}); }
+  void index(const HptsFact &F) {
+    HptsByBaseField[pairKey(F.Base, F.Field)].push_back({F.Heap, F.T});
+  }
+  void index(const HloadFact &F) {
+    HloadByBaseField[pairKey(F.Base, F.Field)].push_back({F.Var, F.T});
+  }
+  void index(const CallFact &F) {
+    CallByInvoke[F.Invoke].push_back({F.Method, F.T});
+    CallByCallee[F.Method].push_back({F.Invoke, F.T});
+  }
+  void index(const ReachFact &F) {
+    ReachByMethod[F.Method].push_back(F.CtxtId);
+  }
+  void index(const GptsFact &F) {
+    GptsByGlobal[F.Global].push_back({F.Heap, F.T});
+  }
+
+  /// Only pts can be refused after dedup: in collapse mode a fact a live
+  /// one subsumes occupies the dedup set but never reaches the relation,
+  /// so a checkpoint must carry it separately or a resumed run would
+  /// re-attempt (and re-count) the same subsumed derivations.
+  template <class Fact> bool admit(const Fact &) { return true; }
+  bool admit(const PtsFact &F) {
+    if (!Collapse || collapseInsert(F.Var, F.Heap, F.T))
+      return true;
+    if (Ckpt.enabled())
+      SubsumedAtInsert.push_back(F);
+    return false;
   }
 
   /// Subsumption collapsing (Section 8 extension): \returns false when the
@@ -740,68 +667,46 @@ private:
     return true;
   }
 
-  bool addHpts(std::uint32_t Base, std::uint32_t Field, std::uint32_t Heap,
-               TransformId T) {
-    Meter.chargeDerivations();
-    HptsFact F{Base, Field, Heap, T};
-    if (!HptsSet.insert(keyOf(F)))
-      return false;
-    Meter.chargeTuple();
-    HptsRel.push_back(F);
-    HptsByBaseField[pairKey(Base, Field)].push_back({Heap, T});
-    HptsWork.push_back(F);
-    return true;
+  /// Replays one snapshot relation as add() would have built it, without
+  /// rule firing or meter charges, rejecting out-of-range ids and
+  /// duplicate tuples.
+  template <class Fact>
+  std::string restore(Relation<Fact> &R, const RelationWords &W,
+                      const IdLimits &L) {
+    using Tr = FactTraits<Fact>;
+    const std::string What = std::string("snapshot ") + Tr::Name + " relation";
+    for (std::size_t I = 0; I < W.Words.size(); I += Tr::Arity) {
+      if (!inRange<Fact>(&W.Words[I], L))
+        return What + " has out-of-range ids";
+      Fact F = Tr::decode(&W.Words[I]);
+      if (!R.Set.insert(keyOf(F)))
+        return What + " has duplicate tuples";
+      if (!admit(F))
+        return What + " disagrees with its collapse state";
+      append(R, F);
+    }
+    R.Head = std::min<std::size_t>(W.Head, R.Rows.size());
+    return {};
   }
 
-  bool addHload(std::uint32_t Base, std::uint32_t Field, std::uint32_t Var,
-                TransformId T) {
-    Meter.chargeDerivations();
-    HloadFact F{Base, Field, Var, T};
-    if (!HloadSet.insert(keyOf(F)))
-      return false;
-    Meter.chargeTuple();
-    HloadRel.push_back(F);
-    HloadByBaseField[pairKey(Base, Field)].push_back({Var, T});
-    HloadWork.push_back(F);
-    return true;
-  }
-
-  bool addCall(std::uint32_t Invoke, std::uint32_t Method, TransformId T) {
-    Meter.chargeDerivations();
-    CallFact F{Invoke, Method, T};
-    if (!CallSet.insert(keyOf(F)))
-      return false;
-    Meter.chargeTuple();
-    CallRel.push_back(F);
-    CallByInvoke[Invoke].push_back({Method, T});
-    CallByCallee[Method].push_back({Invoke, T});
-    CallWork.push_back(F);
-    return true;
-  }
-
-  bool addGpts(std::uint32_t Global, std::uint32_t Heap, TransformId T) {
-    Meter.chargeDerivations();
-    GptsFact F{Global, Heap, T};
-    if (!GptsSet.insert(keyOf(F)))
-      return false;
-    Meter.chargeTuple();
-    GptsRel.push_back(F);
-    GptsByGlobal[Global].push_back({Heap, T});
-    GptsWork.push_back(F);
-    return true;
-  }
-
-  bool addReach(std::uint32_t Method, const CtxtVec &Ctx) {
-    Meter.chargeDerivations();
-    std::uint32_t CtxId = ReachCtxts->intern(Ctx);
-    ReachFact F{Method, CtxId};
-    if (!ReachSet.insert(keyOf(F)))
-      return false;
-    Meter.chargeTuple();
-    ReachRel.push_back(F);
-    ReachByMethod[Method].push_back(CtxId);
-    ReachWork.push_back(F);
-    return true;
+  /// Replays the tuples of \p Prev whose recorded derivation survived the
+  /// invalidation, all of them already processed.
+  template <class Fact>
+  std::string replaySurvivors(Relation<Fact> &R, const std::vector<Fact> &Prev,
+                              const ProvenanceGraph &G,
+                              const std::vector<char> &Invalid) {
+    for (const Fact &F : Prev) {
+      std::uint32_t Node = G.lookup(FactTraits<Fact>::Rel, keyOf(F));
+      if (Node == NoNode)
+        return std::string("previous ") + FactTraits<Fact>::Name +
+               " tuple has no recorded derivation";
+      if (Invalid[Node])
+        continue;
+      R.Set.insert(keyOf(F));
+      append(R, F);
+    }
+    R.Head = R.Rows.size();
+    return {};
   }
 
   //===--- Checkpointing --------------------------------------------------===//
@@ -811,8 +716,9 @@ private:
   }
 
   std::size_t pendingWork() const {
-    return PtsWork.size() + HptsWork.size() + HloadWork.size() +
-           CallWork.size() + ReachWork.size() + GptsWork.size();
+    std::size_t N = 0;
+    forEachRelation([&](auto Tr) { N += Tr.in(Rel).pending(); });
+    return N;
   }
 
   analysis::SolverSnapshot captureSnapshot(TerminationReason Term) const {
@@ -824,51 +730,13 @@ private:
     S.LayoutHash = LayoutHash;
     Dom->exportInterned(S.DomainWords);
     analysis::encodeCtxtInterner(*ReachCtxts, S.ReachCtxtWords);
-
-    // Each worklist is the suffix of its insertion-order relation vector,
-    // so (rows, processed-count head) is the whole work state.
-    S.Pts.Head = PtsRel.size() - PtsWork.size();
-    for (const PtsFact &F : PtsRel) {
-      S.Pts.Words.push_back(F.Var);
-      S.Pts.Words.push_back(F.Heap);
-      S.Pts.Words.push_back(F.T);
-    }
-    S.Hpts.Head = HptsRel.size() - HptsWork.size();
-    for (const HptsFact &F : HptsRel) {
-      S.Hpts.Words.push_back(F.Base);
-      S.Hpts.Words.push_back(F.Field);
-      S.Hpts.Words.push_back(F.Heap);
-      S.Hpts.Words.push_back(F.T);
-    }
-    S.Hload.Head = HloadRel.size() - HloadWork.size();
-    for (const HloadFact &F : HloadRel) {
-      S.Hload.Words.push_back(F.Base);
-      S.Hload.Words.push_back(F.Field);
-      S.Hload.Words.push_back(F.Var);
-      S.Hload.Words.push_back(F.T);
-    }
-    S.Call.Head = CallRel.size() - CallWork.size();
-    for (const CallFact &F : CallRel) {
-      S.Call.Words.push_back(F.Invoke);
-      S.Call.Words.push_back(F.Method);
-      S.Call.Words.push_back(F.T);
-    }
-    S.Reach.Head = ReachRel.size() - ReachWork.size();
-    for (const ReachFact &F : ReachRel) {
-      S.Reach.Words.push_back(F.Method);
-      S.Reach.Words.push_back(F.CtxtId);
-    }
-    S.Gpts.Head = GptsRel.size() - GptsWork.size();
-    for (const GptsFact &F : GptsRel) {
-      S.Gpts.Words.push_back(F.Global);
-      S.Gpts.Words.push_back(F.Heap);
-      S.Gpts.Words.push_back(F.T);
-    }
-    for (const PtsFact &F : SubsumedAtInsert) {
-      S.SubsumedWords.push_back(F.Var);
-      S.SubsumedWords.push_back(F.Heap);
-      S.SubsumedWords.push_back(F.T);
-    }
+    forEachRelation([&](auto Tr) {
+      const auto &R = Tr.in(Rel);
+      assert(R.SeedPos == R.Seeds.size() &&
+             "seeded work is not a suffix of its relation");
+      Tr.in(S) = analysis::encodeRelation(R.Rows, R.Head);
+    });
+    S.SubsumedWords = analysis::encodeRelation(SubsumedAtInsert, 0).Words;
 
     S.WorkItems = BaseWorkItems + WorkItems;
     S.Derivations = totalDerivations();
@@ -893,8 +761,7 @@ private:
   //===--- Rule firing ----------------------------------------------------===//
 
   void drain() {
-    while (!PtsWork.empty() || !HptsWork.empty() || !HloadWork.empty() ||
-           !CallWork.empty() || !ReachWork.empty() || !GptsWork.empty()) {
+    while (pendingWork() != 0) {
       // Budget poll at rule-firing granularity: one item's consequences
       // are always fully derived (the adds above never abort mid-item),
       // so a trip leaves the relations a sound prefix of the fixpoint
@@ -908,46 +775,23 @@ private:
       if (Ckpt.enabled() && Ckpt.EveryDerivations != 0 &&
           totalDerivations() - CkptLastDerivations >= Ckpt.EveryDerivations)
         writeCheckpoint(TerminationReason::Converged);
-      if (!PtsWork.empty()) {
-        PtsFact F = PtsWork.front();
-        PtsWork.pop_front();
-        ++WorkItems;
-        onNewPts(F);
-        continue;
-      }
-      if (!HptsWork.empty()) {
-        HptsFact F = HptsWork.front();
-        HptsWork.pop_front();
-        ++WorkItems;
-        onNewHpts(F);
-        continue;
-      }
-      if (!HloadWork.empty()) {
-        HloadFact F = HloadWork.front();
-        HloadWork.pop_front();
-        ++WorkItems;
-        onNewHload(F);
-        continue;
-      }
-      if (!CallWork.empty()) {
-        CallFact F = CallWork.front();
-        CallWork.pop_front();
-        ++WorkItems;
-        onNewCall(F);
-        continue;
-      }
-      if (!GptsWork.empty()) {
-        GptsFact F = GptsWork.front();
-        GptsWork.pop_front();
-        ++WorkItems;
-        onNewGpts(F);
-        continue;
-      }
-      ReachFact F = ReachWork.front();
-      ReachWork.pop_front();
-      ++WorkItems;
-      onNewReach(F);
+      // Priority order; gpts drains before reach.
+      step<&Solver::onNewPts>(Rel.Pts) || step<&Solver::onNewHpts>(Rel.Hpts) ||
+          step<&Solver::onNewHload>(Rel.Hload) ||
+          step<&Solver::onNewCall>(Rel.Call) ||
+          step<&Solver::onNewGpts>(Rel.Gpts) ||
+          step<&Solver::onNewReach>(Rel.Reach);
     }
+  }
+
+  /// Fires the next pending fact of \p R, if any.
+  template <auto OnNew, class Fact> bool step(Relation<Fact> &R) {
+    Fact F{};
+    if (!R.pop(F))
+      return false;
+    ++WorkItems;
+    (this->*OnNew)(F);
+    return true;
   }
 
   void onNewPts(const PtsFact &F) {
@@ -958,7 +802,7 @@ private:
 
     // [ASSIGN] pts(Z,H,A), assign(Z,Y) |- pts(Y,H,A).
     for (std::uint32_t Y : AssignFrom[F.Var])
-      if (addPts(Y, F.Heap, F.T) && Prov)
+      if (add(PtsFact{Y, F.Heap, F.T}) && Prov)
         Prov->note(ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, F.T}),
                    ProvRule::Assign, FN, NoNode, F.Var);
 
@@ -966,13 +810,13 @@ private:
     //        |- pts(Y,H,A): an assignment filtered by the cast type.
     for (const auto &[Y, T] : CastByFrom[F.Var])
       if (isSubtype(HeapTypeOf[F.Heap], T))
-        if (addPts(Y, F.Heap, F.T) && Prov)
+        if (add(PtsFact{Y, F.Heap, F.T}) && Prov)
           Prov->note(ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, F.T}),
                      ProvRule::Cast, FN, NoNode, F.Var);
 
     // [LOAD] pts(Y,G,A), load(Y,F,Z) |- hload(G,F,Z,A).
     for (const auto &[Field, To] : LoadByBase[F.Var])
-      if (addHload(F.Heap, Field, To, F.T) && Prov)
+      if (add(HloadFact{F.Heap, Field, To, F.T}) && Prov)
         Prov->note(ProvRel::Hload, keyOf(HloadFact{F.Heap, Field, To, F.T}),
                    ProvRule::Load, FN, NoNode, F.Var);
 
@@ -983,7 +827,7 @@ private:
     for (const auto &[Field, Base] : StoreByValue[F.Var])
       for (const auto &[G, C] : PtsByVar[Base])
         if (auto A = Dom->comp(F.T, Dom->inv(C), H, H))
-          if (addHpts(G, Field, F.Heap, *A) && Prov)
+          if (add(HptsFact{G, Field, F.Heap, *A}) && Prov)
             Prov->note(ProvRel::Hpts, keyOf(HptsFact{G, Field, F.Heap, *A}),
                        ProvRule::Store, FN,
                        Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Base, G, C})),
@@ -992,7 +836,7 @@ private:
     for (const auto &[Field, Value] : StoreByBase[F.Var])
       for (const auto &[Hp, B] : PtsByVar[Value])
         if (auto A = Dom->comp(B, Dom->inv(F.T), H, H))
-          if (addHpts(F.Heap, Field, Hp, *A) && Prov)
+          if (add(HptsFact{F.Heap, Field, Hp, *A}) && Prov)
             Prov->note(ProvRel::Hpts, keyOf(HptsFact{F.Heap, Field, Hp, *A}),
                        ProvRule::Store,
                        Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Value, Hp, B})),
@@ -1005,7 +849,7 @@ private:
         if (auto It = FormalOf.find(pairKey(Callee, Ord));
             It != FormalOf.end())
           if (auto A = Dom->comp(F.T, C, H, M))
-            if (addPts(It->second, F.Heap, *A) && Prov)
+            if (add(PtsFact{It->second, F.Heap, *A}) && Prov)
               Prov->note(
                   ProvRel::Pts, keyOf(PtsFact{It->second, F.Heap, *A}),
                   ProvRule::Param, FN,
@@ -1024,7 +868,7 @@ private:
             if (auto In = Dom->comp(F.T, C, H, M))
               if (auto A = Dom->comp(*In, Dom->inv(C), H, M))
                 for (std::uint32_t Y : AssignRetByInvoke[Invoke])
-                  if (addPts(Y, F.Heap, *A) && Prov)
+                  if (add(PtsFact{Y, F.Heap, *A}) && Prov)
                     Prov->note(ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, *A}),
                                ProvRule::Shortcut, FN,
                                Prov->lookup(ProvRel::Call,
@@ -1042,7 +886,7 @@ private:
         TransformId InvC = Dom->inv(C);
         if (auto A = Dom->comp(F.T, InvC, H, M))
           for (std::uint32_t Y : AssignRetByInvoke[Invoke])
-            if (addPts(Y, F.Heap, *A) && Prov)
+            if (add(PtsFact{Y, F.Heap, *A}) && Prov)
               Prov->note(
                   ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, *A}), ProvRule::Ret,
                   FN,
@@ -1058,7 +902,7 @@ private:
         TransformId InvC = Dom->inv(C);
         if (auto A = Dom->comp(F.T, InvC, H, M))
           for (std::uint32_t Y : CatchByInvoke[Invoke])
-            if (addPts(Y, F.Heap, *A) && Prov)
+            if (add(PtsFact{Y, F.Heap, *A}) && Prov)
               Prov->note(
                   ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, *A}), ProvRule::Throw,
                   FN,
@@ -1070,7 +914,7 @@ private:
     if (!GlobalStoreByValue[F.Var].empty()) {
       TransformId GT = Dom->globalize(F.T);
       for (std::uint32_t G : GlobalStoreByValue[F.Var])
-        if (addGpts(G, F.Heap, GT) && Prov)
+        if (add(GptsFact{G, F.Heap, GT}) && Prov)
           Prov->note(ProvRel::Gpts, keyOf(GptsFact{G, F.Heap, GT}),
                      ProvRule::GStore, FN, NoNode, F.Var);
     }
@@ -1086,14 +930,14 @@ private:
           continue; // No implementation: dead dispatch.
         std::uint32_t Q = It->second;
         TransformId C = Dom->mergeVirtual(F.Heap, Invoke, F.T);
-        if (addCall(Invoke, Q, C) && Prov)
+        if (add(CallFact{Invoke, Q, C}) && Prov)
           Prov->note(ProvRel::Call, keyOf(CallFact{Invoke, Q, C}),
                      ProvRule::VirtCall, FN, NoNode, Invoke);
         std::uint32_t ThisY = ThisOf[Q];
         assert(ThisY != facts::InvalidId &&
                "dispatched method has no this variable");
         if (auto A = Dom->comp(F.T, C, H, M))
-          if (addPts(ThisY, F.Heap, *A) && Prov)
+          if (add(PtsFact{ThisY, F.Heap, *A}) && Prov)
             Prov->note(
                 ProvRel::Pts, keyOf(PtsFact{ThisY, F.Heap, *A}),
                 ProvRule::VirtThis, FN,
@@ -1113,7 +957,7 @@ private:
         Prov ? Prov->lookup(ProvRel::Hpts, keyOf(F)) : NoNode;
     for (const auto &[Y, C] : It->second)
       if (auto A = Dom->comp(F.T, C, H, M))
-        if (addPts(Y, F.Heap, *A) && Prov)
+        if (add(PtsFact{Y, F.Heap, *A}) && Prov)
           Prov->note(
               ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, *A}), ProvRule::Ind, FN,
               Prov->lookup(ProvRel::Hload,
@@ -1130,7 +974,7 @@ private:
         Prov ? Prov->lookup(ProvRel::Hload, keyOf(F)) : NoNode;
     for (const auto &[Hp, B] : It->second)
       if (auto A = Dom->comp(B, F.T, H, M))
-        if (addPts(F.Var, Hp, *A) && Prov)
+        if (add(PtsFact{F.Var, Hp, *A}) && Prov)
           Prov->note(ProvRel::Pts, keyOf(PtsFact{F.Var, Hp, *A}),
                      ProvRule::Ind,
                      Prov->lookup(ProvRel::Hpts,
@@ -1155,7 +999,7 @@ private:
           It != FormalOf.end())
         for (const auto &[Hp, B] : PtsByVar[Z])
           if (auto A = Dom->comp(B, F.T, H, M))
-            if (addPts(It->second, Hp, *A) && Prov)
+            if (add(PtsFact{It->second, Hp, *A}) && Prov)
               Prov->note(ProvRel::Pts, keyOf(PtsFact{It->second, Hp, *A}),
                          ProvRule::Param,
                          Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Z, Hp, B})),
@@ -1167,14 +1011,14 @@ private:
       for (const auto &[Ord, Z] : ActualByInvoke[F.Invoke])
         if (CutPlan.hasShortcut(F.Method, Ord))
           // Index-based: the actual Z and the assign-return target Y live
-          // in the same (caller) method and may alias, so addPts below can
+          // in the same (caller) method and may alias, so add below can
           // grow PtsByVar[Z] mid-loop.
           for (std::size_t PI = 0; PI < PtsByVar[Z].size(); ++PI) {
             const auto [Hp, B] = PtsByVar[Z][PI];
             if (auto In = Dom->comp(B, F.T, H, M))
               if (auto A = Dom->comp(*In, InvC, H, M))
                 for (std::uint32_t Y : AssignRetByInvoke[F.Invoke])
-                  if (addPts(Y, Hp, *A) && Prov)
+                  if (add(PtsFact{Y, Hp, *A}) && Prov)
                     Prov->note(
                         ProvRel::Pts, keyOf(PtsFact{Y, Hp, *A}),
                         ProvRule::Shortcut,
@@ -1192,7 +1036,7 @@ private:
         for (const auto &[Hp, B] : PtsByVar[Z])
           if (auto A = Dom->comp(B, InvC, H, M))
             for (std::uint32_t Y : AssignRetByInvoke[F.Invoke])
-              if (addPts(Y, Hp, *A) && Prov)
+              if (add(PtsFact{Y, Hp, *A}) && Prov)
                 Prov->note(
                     ProvRel::Pts, keyOf(PtsFact{Y, Hp, *A}), ProvRule::Ret,
                     Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Z, Hp, B})), FN,
@@ -1207,7 +1051,7 @@ private:
         for (const auto &[Hp, B] : PtsByVar[Z])
           if (auto A = Dom->comp(B, InvC, H, M))
             for (std::uint32_t Y : CatchByInvoke[F.Invoke])
-              if (addPts(Y, Hp, *A) && Prov)
+              if (add(PtsFact{Y, Hp, *A}) && Prov)
                 Prov->note(
                     ProvRel::Pts, keyOf(PtsFact{Y, Hp, *A}), ProvRule::Throw,
                     Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Z, Hp, B})), FN,
@@ -1224,7 +1068,7 @@ private:
     for (const auto &[Z, P] : GlobalLoadByGlobal[F.Global])
       for (std::uint32_t CtxId : ReachByMethod[P]) {
         TransformId A = Dom->retarget(F.T, (*ReachCtxts)[CtxId]);
-        if (addPts(Z, F.Heap, A) && Prov)
+        if (add(PtsFact{Z, F.Heap, A}) && Prov)
           Prov->note(ProvRel::Pts, keyOf(PtsFact{Z, F.Heap, A}),
                      ProvRule::GLoad, FN,
                      Prov->lookup(ProvRel::Reach, keyOf(ReachFact{P, CtxId})),
@@ -1240,7 +1084,7 @@ private:
     for (const auto &[G, Z] : GlobalLoadByMethod[F.Method])
       for (const auto &[Hp, A] : GptsByGlobal[G]) {
         TransformId RT = Dom->retarget(A, Ctx);
-        if (addPts(Z, Hp, RT) && Prov)
+        if (add(PtsFact{Z, Hp, RT}) && Prov)
           Prov->note(ProvRel::Pts, keyOf(PtsFact{Z, Hp, RT}), ProvRule::GLoad,
                      Prov->lookup(ProvRel::Gpts, keyOf(GptsFact{G, Hp, A})),
                      FN, G);
@@ -1249,7 +1093,7 @@ private:
     if (!AssignNewByMethod[F.Method].empty()) {
       TransformId A = Dom->record(Ctx);
       for (const auto &[Hp, Y] : AssignNewByMethod[F.Method])
-        if (addPts(Y, Hp, A) && Prov)
+        if (add(PtsFact{Y, Hp, A}) && Prov)
           Prov->note(ProvRel::Pts, keyOf(PtsFact{Y, Hp, A}), ProvRule::New,
                      FN, NoNode, Hp);
     }
@@ -1257,7 +1101,7 @@ private:
     //          |- call(I,Q, merge_s(I,Mx)).
     for (const auto &[Invoke, Target] : StaticByMethod[F.Method]) {
       TransformId C = Dom->mergeStatic(Invoke, Ctx);
-      if (addCall(Invoke, Target, C) && Prov)
+      if (add(CallFact{Invoke, Target, C}) && Prov)
         Prov->note(ProvRel::Call, keyOf(CallFact{Invoke, Target, C}),
                    ProvRule::Static, FN, NoNode, Invoke);
     }
@@ -1372,15 +1216,9 @@ private:
       CastByFrom;
   std::unordered_set<std::uint64_t> SubtypePairs;
 
-  // Derived relations, dedup sets, and join indices. PtsByVar etc. are
-  // lazily sized in the constructor body via resize below.
-  FactSet PtsSet, HptsSet, HloadSet, CallSet, ReachSet, GptsSet;
-  std::vector<PtsFact> PtsRel;
-  std::vector<HptsFact> HptsRel;
-  std::vector<HloadFact> HloadRel;
-  std::vector<CallFact> CallRel;
-  std::vector<ReachFact> ReachRel;
-  std::vector<GptsFact> GptsRel;
+  // Derived relations and their join indices. PtsByVar etc. are sized in
+  // the constructor body.
+  DerivedRelations Rel;
   std::vector<std::vector<std::pair<std::uint32_t, TransformId>>>
       GptsByGlobal;
   std::vector<std::vector<std::pair<std::uint32_t, TransformId>>> PtsByVar;
@@ -1390,13 +1228,6 @@ private:
   std::vector<std::vector<std::pair<std::uint32_t, TransformId>>>
       CallByInvoke, CallByCallee;
   std::vector<std::vector<std::uint32_t>> ReachByMethod;
-
-  std::deque<PtsFact> PtsWork;
-  std::deque<HptsFact> HptsWork;
-  std::deque<HloadFact> HloadWork;
-  std::deque<CallFact> CallWork;
-  std::deque<ReachFact> ReachWork;
-  std::deque<GptsFact> GptsWork;
 
   std::size_t WorkItems = 0;
   BudgetMeter Meter;

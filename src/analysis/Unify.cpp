@@ -410,12 +410,7 @@ private:
       for (Id H : sortedHeaps(globalCell(G)))
         R.Gpts.push_back({G, H, Eps});
 
-    R.Stat.NumPts = R.Pts.size();
-    R.Stat.NumHpts = R.Hpts.size();
-    R.Stat.NumHload = R.Hload.size();
-    R.Stat.NumCall = R.Call.size();
-    R.Stat.NumReach = R.Reach.size();
-    R.Stat.NumGpts = R.Gpts.size();
+    R.countRelations();
     R.Stat.DomainSize = R.Dom->size();
     R.Stat.DomainTraffic = R.Dom->counters();
     R.Stat.WorkItems = WorkItems;

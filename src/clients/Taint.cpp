@@ -12,6 +12,7 @@
 #include <cassert>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -88,10 +89,13 @@ struct FlowGraph {
   std::uint32_t varNode(facts::Id V) const {
     return static_cast<std::uint32_t>(V);
   }
-  std::uint32_t chanNode(facts::Id B, facts::Id F) const {
+  /// The node of channel (B, F), or nullopt when the run derived no
+  /// contents for it: no heap value can flow through such a channel.
+  std::optional<std::uint32_t> chanNode(facts::Id B, facts::Id F) const {
     auto It = std::lower_bound(Chans.begin(), Chans.end(),
                                std::make_pair(B, F));
-    assert(It != Chans.end() && *It == std::make_pair(B, F));
+    if (It == Chans.end() || *It != std::make_pair(B, F))
+      return std::nullopt;
     return static_cast<std::uint32_t>(NV + (It - Chans.begin()));
   }
   std::uint32_t globNode(facts::Id G) const {
@@ -161,13 +165,15 @@ struct FlowGraph {
           {varNode(F.To), EK::Cast, DB.VarParent[F.To], F.Type});
     for (const auto &F : DB.Stores)
       forEachPts(Pts, F.Base, [&](facts::Id HB) {
-        Adj[F.From].push_back({chanNode(HB, F.Field), EK::Store,
-                               DB.VarParent[F.Base], F.Field, HB});
+        if (auto C = chanNode(HB, F.Field))
+          Adj[F.From].push_back(
+              {*C, EK::Store, DB.VarParent[F.Base], F.Field, HB});
       });
     for (const auto &F : DB.Loads)
       forEachPts(Pts, F.Base, [&](facts::Id HB) {
-        Adj[chanNode(HB, F.Field)].push_back(
-            {varNode(F.To), EK::Load, DB.VarParent[F.To], F.Field, HB});
+        if (auto C = chanNode(HB, F.Field))
+          Adj[*C].push_back(
+              {varNode(F.To), EK::Load, DB.VarParent[F.To], F.Field, HB});
       });
     for (const auto &F : DB.Actuals)
       ForEachCallee(F.Invoke, [&](facts::Id Q) {
@@ -472,7 +478,7 @@ void clients::checkTaint(const facts::FactDB &DB, const analysis::Results &R,
                 SrcVar = St.From;
                 break;
               }
-            Starts.push_back({G->chanNode(T[0], T[1]), std::move(Intro),
+            Starts.push_back({*G->chanNode(T[0], T[1]), std::move(Intro),
                               SrcVar});
           }
       }

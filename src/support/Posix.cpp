@@ -90,9 +90,9 @@ int posix::closeQuiet(int Fd) {
 }
 
 std::string posix::mkdirs(const std::string &Path) {
-  std::string Partial;
-  if (!Path.empty() && Path[0] == '/')
-    Partial = "/";
+  // Built, not assigned "/": GCC 12 reports a false -Wrestrict on the
+  // assignment when inlined under the sanitizers.
+  std::string Partial(!Path.empty() && Path[0] == '/' ? 1 : 0, '/');
   std::size_t Start = 0;
   while (Start < Path.size()) {
     std::size_t End = Path.find('/', Start);

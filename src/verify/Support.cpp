@@ -427,30 +427,18 @@ private:
   /// Every tuple must carry a certificate (the recorder notes each tuple
   /// right at insertion, so short of truncation nothing may be missing).
   bool checkCoverage() {
-    auto Uncovered = [&](ProvRel Rel, const FactKey &K) {
-      CE = relName(Rel) + std::string(" tuple ") +
-           renderFact(DB, R, Rel, K) + " has no recorded derivation";
-      return false;
-    };
-    for (const PtsFact &F : R.Pts)
-      if (G.lookup(ProvRel::Pts, keyOf(F)) == Invalid)
-        return Uncovered(ProvRel::Pts, keyOf(F));
-    for (const HptsFact &F : R.Hpts)
-      if (G.lookup(ProvRel::Hpts, keyOf(F)) == Invalid)
-        return Uncovered(ProvRel::Hpts, keyOf(F));
-    for (const HloadFact &F : R.Hload)
-      if (G.lookup(ProvRel::Hload, keyOf(F)) == Invalid)
-        return Uncovered(ProvRel::Hload, keyOf(F));
-    for (const CallFact &F : R.Call)
-      if (G.lookup(ProvRel::Call, keyOf(F)) == Invalid)
-        return Uncovered(ProvRel::Call, keyOf(F));
-    for (const ReachFact &F : R.Reach)
-      if (G.lookup(ProvRel::Reach, keyOf(F)) == Invalid)
-        return Uncovered(ProvRel::Reach, keyOf(F));
-    for (const GptsFact &F : R.Gpts)
-      if (G.lookup(ProvRel::Gpts, keyOf(F)) == Invalid)
-        return Uncovered(ProvRel::Gpts, keyOf(F));
-    return true;
+    bool Covered = true;
+    forEachRelation([&](auto Tr) {
+      for (const auto &F : Tr.in(R)) {
+        if (!Covered || G.lookup(Tr.Rel, keyOf(F)) != Invalid)
+          continue;
+        CE = std::string(Tr.Name) + " tuple " +
+             renderFact(DB, R, Tr.Rel, keyOf(F)) +
+             " has no recorded derivation";
+        Covered = false;
+      }
+    });
+    return Covered;
   }
 
   const FactDB &DB;

@@ -356,6 +356,68 @@ TEST(TaintTest, DirectFlowWarnsSanitizedFlowIsQuietDeadSourceNoted) {
   EXPECT_NE(Dead[0]->Message.find("'src_dead'"), std::string::npos);
 }
 
+/// A load can name a (base heap, field) channel the run derived no
+/// contents for: here t = o.f0 reads a field no store ever wrote, while
+/// the neighbouring channel h_box.f1 holds the secret. Such a load must
+/// add no flow edge. Resolved to the neighbour instead, it would make the
+/// shortest witness src -> h_box.f1 -> t, "loaded from field 'f0'", in
+/// place of the real assignment chain.
+TEST(TaintWitnessTest, LoadOfUnstoredChannelCrossesNoOtherChannel) {
+  Builder B;
+  TypeId Obj = B.addClass("Object");
+  TypeId Secret = B.addClass("Secret", Obj);
+  TypeId Box = B.addClass("Box", Obj);
+  FieldId F0 = B.addField("f0");
+  FieldId F1 = B.addField("f1");
+  MethodId Read = B.addStaticMethod(Obj, "read", 0);
+  VarId RV = B.addLocal(Read, "rv");
+  B.addNew(Read, RV, Secret, "h_secret");
+  B.addReturn(Read, RV);
+  MethodId Consume = B.addStaticMethod(Obj, "consume", 1);
+
+  MethodId Main = B.addStaticMethod(Obj, "main", 0);
+  B.setMain(Main);
+  VarId Src = B.addLocal(Main, "src");
+  B.setInvokeTaint(B.addStaticCall(Main, Read, {}, Src, "source"),
+                   TaintAnnot::Source);
+  VarId O = B.addLocal(Main, "o");
+  B.addNew(Main, O, Box, "h_box");
+  B.addStore(Main, O, F1, Src);
+  VarId T = B.addLocal(Main, "t");
+  B.addLoad(Main, T, O, F0);
+  // t's real taint arrives through a four-step assignment chain.
+  VarId Prev = Src;
+  for (const char *Name : {"a", "b", "c"}) {
+    VarId V = B.addLocal(Main, Name);
+    B.addAssign(Main, V, Prev);
+    Prev = V;
+  }
+  B.addAssign(Main, T, Prev);
+  B.setInvokeTaint(B.addStaticCall(Main, Consume, {T}, InvalidId, "sink"),
+                   TaintAnnot::Sink);
+
+  facts::FactDB DB = facts::extract(B.take());
+  ASSERT_LT(F0, F1) << "h_box.f1 must sort right after the absent h_box.f0";
+  analysis::Results R =
+      analysis::solve(DB, ctx::insensitive(Abstraction::TransformerString));
+  clients::SourceMap SM(DB);
+  clients::Report Rep;
+  clients::checkTaint(DB, R, SM, Rep);
+  Rep.finalize();
+
+  std::vector<const clients::Finding *> Flows;
+  for (const clients::Finding &F : Rep.findings())
+    if (F.RuleId == "taint.flow")
+      Flows.push_back(&F);
+  ASSERT_EQ(Flows.size(), 1u);
+  std::size_t Copies = 0;
+  for (const clients::WitnessStep &S : Flows[0]->Witness) {
+    EXPECT_EQ(S.Note.find("field"), std::string::npos) << S.Note;
+    Copies += S.Note.find("copied by assignment") != std::string::npos;
+  }
+  EXPECT_EQ(Copies, 4u);
+}
+
 /// The headline taint property on real workloads: 2-object+H taint.flow
 /// warnings are a strict subset of the insensitive ones, per preset, per
 /// back-end.

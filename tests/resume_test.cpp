@@ -15,9 +15,11 @@
 #include "analysis/Checkpoint.h"
 #include "analysis/Configurations.h"
 #include "analysis/DatalogFrontend.h"
+#include "analysis/Incremental.h"
 #include "analysis/Solver.h"
 #include "facts/Extract.h"
 #include "support/FaultInjection.h"
+#include "support/Snapshot.h"
 #include "workload/Presets.h"
 
 #include "gtest/gtest.h"
@@ -214,6 +216,126 @@ TEST(ResumeDatalog, PmdTwoObjectH) {
   facts::FactDB DB = facts::extract(workload::generatePreset("pmd"));
   checkInterruptResume(DB, ctx::twoObjectH(Abstraction::TransformerString),
                        true, "datalog_pmd_2objH");
+}
+
+//===----------------------------------------------------------------------===//
+// Restore checks: one relation encoder, and every structurally bad
+// relation rejected with a cold start.
+//===----------------------------------------------------------------------===//
+
+/// Solves \p Cfg to convergence with a KeepOnConverge checkpoint in a
+/// fresh directory named by \p Tag; \returns the result and loads the
+/// converged snapshot into \p Snap.
+analysis::Results solveKeeping(const facts::FactDB &DB, const ctx::Config &Cfg,
+                               bool Datalog, const std::string &Tag,
+                               analysis::SolverSnapshot &Snap) {
+  std::string Dir = freshDir(Tag);
+  analysis::CheckpointPolicy Keep;
+  Keep.Dir = Dir;
+  Keep.KeepOnConverge = true;
+  analysis::Results R;
+  if (Datalog) {
+    analysis::DatalogSolveOptions DO;
+    DO.Checkpoint = Keep;
+    R = analysis::solveViaDatalog(DB, Cfg, DO);
+  } else {
+    analysis::SolverOptions SO;
+    SO.Checkpoint = Keep;
+    R = analysis::solve(DB, Cfg, SO);
+  }
+  EXPECT_EQ(R.Stat.Term, TerminationReason::Converged);
+  EXPECT_EQ(analysis::readSnapshot(analysis::checkpointPath(Dir), Snap), "");
+  std::filesystem::remove_all(Dir);
+  return R;
+}
+
+TEST(RestoreChecks, SnapshotFromResultsMatchesConvergedCheckpoint) {
+  facts::FactDB DB = facts::extract(workload::generatePreset("bloat"));
+  ctx::Config Cfg = ctx::twoObjectH(Abstraction::TransformerString);
+  std::string Dir = freshDir("from_results");
+  analysis::SolverOptions SO;
+  SO.Checkpoint.Dir = Dir;
+  SO.Checkpoint.KeepOnConverge = true;
+  analysis::Results R = analysis::solve(DB, Cfg, SO);
+  ASSERT_EQ(R.Stat.Term, TerminationReason::Converged);
+  const std::string Native = analysis::checkpointPath(Dir);
+  const std::string Encoded = Dir + "/from_results.ctpsnap";
+  ASSERT_EQ(analysis::writeSnapshot(analysis::snapshotFromResults(R, DB),
+                                    Encoded),
+            "");
+
+  snapshot::File A, B;
+  ASSERT_EQ(snapshot::readFile(Native, A), "");
+  ASSERT_EQ(snapshot::readFile(Encoded, B), "");
+  // Domain, reach contexts, the six relations and the subsumed section.
+  for (std::uint32_t Tag = 2; Tag <= 10; ++Tag) {
+    SCOPED_TRACE("section " + std::to_string(Tag));
+    ASSERT_NE(A.find(Tag), nullptr);
+    ASSERT_NE(B.find(Tag), nullptr);
+    EXPECT_EQ(A.find(Tag)->Bytes, B.find(Tag)->Bytes);
+  }
+  std::filesystem::remove_all(Dir);
+}
+
+/// Pushes every id column of every relation, one at a time, to its
+/// exclusive limit: each restore must fail and cold-start.
+void checkOutOfRangeRejected(bool Datalog) {
+  facts::FactDB DB = facts::extract(workload::generatePreset("luindex"));
+  ctx::Config Cfg = ctx::twoObjectH(Abstraction::TransformerString);
+  analysis::SolverSnapshot Snap;
+  analysis::Results Cold =
+      solveKeeping(DB, Cfg, Datalog, Datalog ? "range_dl" : "range", Snap);
+  const analysis::IdLimits L =
+      analysis::idLimits(DB, Cold.Stat.DomainSize, Cold.ReachCtxts->size());
+  std::size_t Cases = 0;
+  analysis::forEachRelation([&](auto Tr) {
+    ASSERT_FALSE(Tr.in(Snap).Words.empty()) << Tr.Name;
+    const auto Lim = Tr.limits(L);
+    for (unsigned C = 0; C < Tr.Arity; ++C) {
+      SCOPED_TRACE(std::string(Tr.Name) + " column " + std::to_string(C));
+      analysis::SolverSnapshot Bad = Snap;
+      Tr.in(Bad).Words[C] = Lim[C];
+      analysis::Results R =
+          Datalog ? solveDatalog(DB, Cfg, BudgetSpec(), "", &Bad)
+                  : solveNative(DB, Cfg, BudgetSpec(), "", &Bad);
+      EXPECT_EQ(R.Stat.CheckpointError,
+                Datalog ? std::string("resume failed: snapshot relations "
+                                      "have out-of-range ids")
+                        : "resume failed: snapshot " + std::string(Tr.Name) +
+                              " relation has out-of-range ids");
+      expectIdentical(Cold, R);
+      ++Cases;
+    }
+  });
+  EXPECT_EQ(Cases, 19u); // 3 + 4 + 4 + 3 + 2 + 3 columns.
+}
+
+TEST(RestoreChecks, IdAtColumnLimitRejectedByNativeRestore) {
+  checkOutOfRangeRejected(false);
+}
+
+TEST(RestoreChecks, IdAtColumnLimitRejectedByDatalogRestore) {
+  checkOutOfRangeRejected(true);
+}
+
+TEST(RestoreChecks, DuplicateTupleRejectedByNativeRestore) {
+  facts::FactDB DB = facts::extract(workload::generatePreset("luindex"));
+  ctx::Config Cfg = ctx::twoObjectH(Abstraction::TransformerString);
+  analysis::SolverSnapshot Snap;
+  analysis::Results Cold = solveKeeping(DB, Cfg, false, "dup", Snap);
+  analysis::forEachRelation([&](auto Tr) {
+    SCOPED_TRACE(Tr.Name);
+    analysis::SolverSnapshot Bad = Snap;
+    std::vector<std::uint32_t> &W = Tr.in(Bad).Words;
+    ASSERT_GE(W.size(), Tr.Arity);
+    const std::vector<std::uint32_t> First(W.begin(), W.begin() + Tr.Arity);
+    W.insert(W.end(), First.begin(), First.end());
+    analysis::Results R = solveNative(DB, Cfg, BudgetSpec(), "", &Bad);
+    EXPECT_EQ(R.Stat.CheckpointError, "resume failed: snapshot " +
+                                          std::string(Tr.Name) +
+                                          " relation has duplicate tuples");
+    expectIdentical(Cold, R);
+  });
 }
 
 //===----------------------------------------------------------------------===//

@@ -53,6 +53,15 @@
 #ifndef CTP_UNDER_TSAN
 #define CTP_UNDER_TSAN 0
 #endif
+// ASan cannot reserve its shadow memory under a small RLIMIT_AS, so an
+// instrumented child dies at startup instead of in the allocator. (Its
+// SIGSEGV interception is turned off for this binary by the ctest
+// registration's ASAN_OPTIONS=handle_segv=0 instead.)
+#if defined(__SANITIZE_ADDRESS__)
+#define CTP_UNDER_ASAN 1
+#else
+#define CTP_UNDER_ASAN 0
+#endif
 
 using namespace ctp;
 using namespace ctp::batch;
@@ -293,6 +302,10 @@ TEST(SupervisorTest, MemRlimitClassifiedAsRlimitMem) {
   if (CTP_UNDER_TSAN)
     GTEST_SKIP() << "TSAN's shadow mapping aborts under RLIMIT_AS before "
                     "the allocator signature prints (see file header)";
+  if (CTP_UNDER_ASAN)
+    GTEST_SKIP() << "ASan cannot reserve its shadow memory under "
+                    "RLIMIT_AS, so the child dies before the allocator "
+                    "signature prints";
   ASSERT_FALSE(crashkidPath().empty());
   ScopedEnv Mode("CTP_CRASHKID_MODE", "alloc");
   SupervisorOptions O = fastOpts("rlimitmem");
