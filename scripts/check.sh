@@ -37,10 +37,12 @@
 # --asan runs a targeted address+undefined matrix in its own build
 # directory (build-asan): the engine-semantics core, the
 # fixpoint-certification suite (verify_matrix_bloat included), the
-# contextless-flavour suite, the memory-governor suite and the batch
-# supervisor suite (ctest -L 'core|verify|flavours|memory|supervisor' —
-# the unify union-find's pointer juggling, the governor's new-handler
-# paths and crash triage through sanitized children included), so the
+# contextless-flavour suite, the memory-governor suite, the batch
+# supervisor suite and the input-fact encoding suite (ctest -L
+# 'core|verify|flavours|memory|supervisor|schema' — the unify
+# union-find's pointer juggling, the governor's new-handler paths, crash
+# triage through sanitized children, and the schema-driven TSV reader,
+# hashes and fact-delta language included), so the
 # slow memory-error hunt concentrates on the solver paths the verifier
 # exercises hardest. Independent of the default full-asan pass, which
 # --no-sanitize turns off. Both sanitizer passes build RelWithDebInfo
@@ -223,11 +225,11 @@ fi
 
 if [[ "$ASAN" == 1 ]]; then
   echo "== targeted ASan+UBSan matrix" \
-       "(ctest -L 'core|verify|flavours|memory|supervisor') =="
+       "(ctest -L 'core|verify|flavours|memory|supervisor|schema') =="
   cmake -B build-asan -S . "${ASAN_CMAKE_ARGS[@]}" >/dev/null
   cmake --build build-asan -j"$(nproc)"
   ctest --test-dir build-asan -j"$(nproc)" \
-    -L 'core|verify|flavours|memory|supervisor' --output-on-failure
+    -L 'core|verify|flavours|memory|supervisor|schema' --output-on-failure
 fi
 
 if [[ "$SANITIZE" == 1 ]]; then

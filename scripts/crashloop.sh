@@ -15,7 +15,8 @@
 #
 # The converged result is compared against an uninterrupted run: the
 # derived-relation sizes and cumulative derivation count must match
-# exactly.
+# exactly. That run also writes its results with --out into a directory
+# that does not exist yet, which must be created.
 #
 # Usage: scripts/crashloop.sh [--preset NAME] [--config NAME]
 #                             [--budget N] [--max-iters N]
@@ -646,8 +647,14 @@ fi
 CKPT="$WORK/ckpt"
 mkdir -p "$CKPT"
 
-# Baseline: one uninterrupted converged run.
-"$ANALYZE" --preset "$PRESET" --config "$CONFIG" > "$WORK/baseline.txt"
+# Baseline: one uninterrupted converged run. Its --out names a missing
+# nested directory, which ctp-analyze must create before the solve.
+"$ANALYZE" --preset "$PRESET" --config "$CONFIG" --out "$WORK/out/a/b" \
+  > "$WORK/baseline.txt"
+if [[ ! -s "$WORK/out/a/b/Pts.tsv" ]]; then
+  echo "FAIL: --out into a missing nested directory left no Pts.tsv" >&2
+  exit 1
+fi
 summary() { grep -E '^(termination|  (pts|hpts|hload|call|reach|gpts) )' "$1"; }
 
 echo "== crash loop: $PRESET/$CONFIG, $BUDGET derivations per life =="

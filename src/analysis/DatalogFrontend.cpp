@@ -8,6 +8,7 @@
 #include "analysis/DatalogFrontend.h"
 
 #include "datalog/Engine.h"
+#include "facts/Schema.h"
 #include "support/Stats.h"
 
 #include <cassert>
@@ -54,6 +55,11 @@ struct RuleBuilder {
 
 Term v(VarIdx V) { return Term::var(V); }
 
+/// The EDB relation of input predicate \p Fact.
+template <class Fact> std::uint32_t edb(const Program &P) {
+  return P.relationId(facts::InputTraits<Fact>::Name);
+}
+
 /// Reassembles arity-\p Arity tuples from a snapshot's flat word stream.
 std::vector<Tuple> tuplesOf(const std::vector<std::uint32_t> &Words,
                             unsigned Arity) {
@@ -90,26 +96,38 @@ Results solveOnce(const FactDB &DB, const ctx::Config &Cfg,
 
   Program Prog;
 
-  // --- EDB relations (Figure 3's input predicates). ---
-  std::uint32_t RAssign = Prog.addRelation("assign", 2);
-  std::uint32_t RAssignNew = Prog.addRelation("assign_new", 3);
-  std::uint32_t RAssignRet = Prog.addRelation("assign_return", 2);
-  std::uint32_t RActual = Prog.addRelation("actual", 3);
-  std::uint32_t RFormal = Prog.addRelation("formal", 3);
-  std::uint32_t RHeapType = Prog.addRelation("heap_type", 2);
-  std::uint32_t RImplements = Prog.addRelation("implements", 3);
-  std::uint32_t RLoad = Prog.addRelation("load", 3);
-  std::uint32_t RReturn = Prog.addRelation("return", 2);
-  std::uint32_t RStaticInv = Prog.addRelation("static_invoke", 3);
-  std::uint32_t RStore = Prog.addRelation("store", 3);
-  std::uint32_t RThisVar = Prog.addRelation("this_var", 2);
-  std::uint32_t RVirtInv = Prog.addRelation("virtual_invoke", 3);
-  std::uint32_t RGlobalStore = Prog.addRelation("global_store", 2);
-  std::uint32_t RGlobalLoad = Prog.addRelation("global_load", 3);
-  std::uint32_t RThrow = Prog.addRelation("throw", 2);
-  std::uint32_t RCatch = Prog.addRelation("catch", 2);
-  std::uint32_t RCast = Prog.addRelation("cast", 3);
-  std::uint32_t RSubtype = Prog.addRelation("subtype", 2);
+  // --- EDB relations: the solver-visible input predicates of Figure 3
+  // and its extensions (client annotations take no part in the rules). ---
+  facts::forEachInput([&](auto Tr) {
+    if (Tr.Role == facts::DeltaRole::Client)
+      return;
+    const std::uint32_t Rel = Prog.addRelation(Tr.Name, std::size(Tr.Cols));
+    for (const auto &F : Tr.in(DB)) {
+      Tuple T;
+      for (const auto &C : Tr.Cols)
+        T.V[T.N++] = F.*C.Member;
+      Prog.addFact(Rel, T);
+    }
+  });
+  const std::uint32_t RAssign = edb<facts::AssignFact>(Prog),
+                      RAssignNew = edb<facts::AssignNewFact>(Prog),
+                      RAssignRet = edb<facts::AssignReturnFact>(Prog),
+                      RActual = edb<facts::ActualFact>(Prog),
+                      RFormal = edb<facts::FormalFact>(Prog),
+                      RHeapType = edb<facts::HeapTypeFact>(Prog),
+                      RImplements = edb<facts::ImplementsFact>(Prog),
+                      RLoad = edb<facts::LoadFact>(Prog),
+                      RReturn = edb<facts::ReturnFact>(Prog),
+                      RStaticInv = edb<facts::StaticInvokeFact>(Prog),
+                      RStore = edb<facts::StoreFact>(Prog),
+                      RThisVar = edb<facts::ThisVarFact>(Prog),
+                      RVirtInv = edb<facts::VirtualInvokeFact>(Prog),
+                      RGlobalStore = edb<facts::GlobalStoreFact>(Prog),
+                      RGlobalLoad = edb<facts::GlobalLoadFact>(Prog),
+                      RThrow = edb<facts::ThrowFact>(Prog),
+                      RCatch = edb<facts::CatchFact>(Prog),
+                      RCast = edb<facts::CastFact>(Prog),
+                      RSubtype = edb<facts::SubtypeFact>(Prog);
 
   // --- IDB relations (Figure 3's derived predicates). ---
   std::uint32_t RPts = Prog.addRelation("pts", 3);
@@ -118,45 +136,6 @@ Results solveOnce(const FactDB &DB, const ctx::Config &Cfg,
   std::uint32_t RCall = Prog.addRelation("call", 3);
   std::uint32_t RReach = Prog.addRelation("reach", 2);
   std::uint32_t RGpts = Prog.addRelation("gpts", 3);
-
-  for (const auto &F : DB.Assigns)
-    Prog.addFact(RAssign, {F.From, F.To});
-  for (const auto &F : DB.AssignNews)
-    Prog.addFact(RAssignNew, {F.Heap, F.To, F.InMethod});
-  for (const auto &F : DB.AssignReturns)
-    Prog.addFact(RAssignRet, {F.Invoke, F.To});
-  for (const auto &F : DB.Actuals)
-    Prog.addFact(RActual, {F.Var, F.Invoke, F.Ordinal});
-  for (const auto &F : DB.Formals)
-    Prog.addFact(RFormal, {F.Var, F.Method, F.Ordinal});
-  for (const auto &F : DB.HeapTypes)
-    Prog.addFact(RHeapType, {F.Heap, F.Type});
-  for (const auto &F : DB.Implements)
-    Prog.addFact(RImplements, {F.Method, F.Type, F.Sig});
-  for (const auto &F : DB.Loads)
-    Prog.addFact(RLoad, {F.Base, F.Field, F.To});
-  for (const auto &F : DB.Returns)
-    Prog.addFact(RReturn, {F.Var, F.Method});
-  for (const auto &F : DB.StaticInvokes)
-    Prog.addFact(RStaticInv, {F.Invoke, F.Target, F.InMethod});
-  for (const auto &F : DB.Stores)
-    Prog.addFact(RStore, {F.From, F.Field, F.Base});
-  for (const auto &F : DB.ThisVars)
-    Prog.addFact(RThisVar, {F.Var, F.Method});
-  for (const auto &F : DB.VirtualInvokes)
-    Prog.addFact(RVirtInv, {F.Invoke, F.Receiver, F.Sig});
-  for (const auto &F : DB.GlobalStores)
-    Prog.addFact(RGlobalStore, {F.From, F.Global});
-  for (const auto &F : DB.GlobalLoads)
-    Prog.addFact(RGlobalLoad, {F.Global, F.To, F.InMethod});
-  for (const auto &F : DB.Throws)
-    Prog.addFact(RThrow, {F.Var, F.Method});
-  for (const auto &F : DB.Catches)
-    Prog.addFact(RCatch, {F.Invoke, F.To});
-  for (const auto &F : DB.Casts)
-    Prog.addFact(RCast, {F.From, F.To, F.Type});
-  for (const auto &F : DB.Subtypes)
-    Prog.addFact(RSubtype, {F.Sub, F.Super});
 
   // [ENTRY] reach(main, [entry]) — pre-seeded derived facts.
   {

@@ -45,8 +45,10 @@
 #include "ctx/Config.h"
 #include "facts/FactDB.h"
 
+#include <cassert>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace ctp {
@@ -109,26 +111,53 @@ struct InputDelta {
   /// the caller must recompute its client layers from the edited FactDB.
   bool ClientFactsChanged = false;
 
+  /// Calls \p Fn(Add, Rm) with the two lists of each narrow predicate
+  /// (facts::DeltaRole::Narrow in facts/Schema.h).
+  template <class Self, class FnT>
+  static void forEachNarrow(Self &D, FnT &&Fn) {
+    Fn(D.AddActuals, D.RmActuals);
+    Fn(D.AddAssigns, D.RmAssigns);
+    Fn(D.AddAssignNews, D.RmAssignNews);
+    Fn(D.AddAssignReturns, D.RmAssignReturns);
+    Fn(D.AddFormals, D.RmFormals);
+    Fn(D.AddLoads, D.RmLoads);
+    Fn(D.AddReturns, D.RmReturns);
+    Fn(D.AddStaticInvokes, D.RmStaticInvokes);
+    Fn(D.AddStores, D.RmStores);
+    Fn(D.AddVirtualInvokes, D.RmVirtualInvokes);
+    Fn(D.AddGlobalStores, D.RmGlobalStores);
+    Fn(D.AddGlobalLoads, D.RmGlobalLoads);
+    Fn(D.AddThrows, D.RmThrows);
+    Fn(D.AddCatches, D.RmCatches);
+    Fn(D.AddCasts, D.RmCasts);
+  }
+
+  /// The Add (\p Add) or Rm list of narrow predicate \p Fact.
+  template <class Fact> std::vector<Fact> &edits(bool Add) {
+    std::vector<Fact> *L = nullptr;
+    forEachNarrow(*this, [&](auto &A, auto &R) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(A)>,
+                                   std::vector<Fact>>)
+        L = Add ? &A : &R;
+    });
+    assert(L && "not a narrow predicate");
+    return *L;
+  }
+
   bool hasRemovals() const {
-    return WideRemove || !RmAssigns.empty() || !RmCasts.empty() ||
-           !RmLoads.empty() || !RmStores.empty() || !RmActuals.empty() ||
-           !RmFormals.empty() || !RmReturns.empty() ||
-           !RmAssignReturns.empty() || !RmThrows.empty() ||
-           !RmCatches.empty() || !RmVirtualInvokes.empty() ||
-           !RmStaticInvokes.empty() || !RmAssignNews.empty() ||
-           !RmGlobalStores.empty() || !RmGlobalLoads.empty() ||
-           !RmEntries.empty();
+    bool Any = WideRemove || !RmEntries.empty();
+    forEachNarrow(*this, [&Any](const auto &, const auto &Rm) {
+      Any = Any || !Rm.empty();
+    });
+    return Any;
   }
 
   bool hasAdditions() const {
-    return WideAdd || !AddAssigns.empty() || !AddCasts.empty() ||
-           !AddLoads.empty() || !AddStores.empty() || !AddActuals.empty() ||
-           !AddFormals.empty() || !AddReturns.empty() ||
-           !AddAssignReturns.empty() || !AddThrows.empty() ||
-           !AddCatches.empty() || !AddVirtualInvokes.empty() ||
-           !AddStaticInvokes.empty() || !AddAssignNews.empty() ||
-           !AddGlobalStores.empty() || !AddGlobalLoads.empty() ||
-           !AddEntries.empty();
+    bool Any = WideAdd || !AddEntries.empty();
+    forEachNarrow(*this, [&Any](const auto &Add, const auto &) {
+      Any = Any || !Add.empty();
+    });
+    return Any;
   }
 
   /// Anything the fixpoint itself depends on (as opposed to pure

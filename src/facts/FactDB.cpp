@@ -7,20 +7,16 @@
 
 #include "facts/FactDB.h"
 
+#include "facts/Schema.h"
 #include "support/Hashing.h"
 
 using namespace ctp;
 using namespace ctp::facts;
 
 std::size_t FactDB::numInputFacts() const {
-  return Actuals.size() + Assigns.size() + AssignNews.size() +
-         AssignReturns.size() + Formals.size() + HeapTypes.size() +
-         Implements.size() + Loads.size() + Returns.size() +
-         StaticInvokes.size() + Stores.size() + ThisVars.size() +
-         VirtualInvokes.size() + GlobalStores.size() + GlobalLoads.size() +
-         Throws.size() + Catches.size() + Casts.size() + Subtypes.size() +
-         Spawns.size() + TaintSources.size() + TaintSinks.size() +
-         Sanitizers.size();
+  std::size_t N = 0;
+  forEachInput([&](auto Tr) { N += Tr.in(*this).size(); });
+  return N;
 }
 
 namespace {
@@ -61,119 +57,57 @@ struct ContentSum {
 
 std::uint64_t FactDB::fingerprint() const {
   ContentSum CS;
-  auto Name = [](const std::vector<std::string> &Names, Id I) -> const
-      std::string & { return Names[I]; };
 
   // Name domains: a name present in the domain but referenced by no fact
   // still distinguishes two databases.
-  auto AddDomain = [&](const char *Tag,
-                       const std::vector<std::string> &Names) {
-    for (const std::string &N : Names)
-      CS.add(absorb(absorb(FnvOffset, std::string(Tag)), N));
-  };
-  AddDomain("var", VarNames);
-  AddDomain("heap", HeapNames);
-  AddDomain("method", MethodNames);
-  AddDomain("invoke", InvokeNames);
-  AddDomain("field", FieldNames);
-  AddDomain("type", TypeNames);
-  AddDomain("sig", SigNames);
-  AddDomain("global", GlobalNames);
+  for (const DomainDesc &D : Domains)
+    for (const std::string &N : this->*D.Names)
+      CS.add(absorb(absorb(FnvOffset, std::string(D.Tag)), N));
 
   // One hash per fact, seeded with the predicate tag, absorbing the
   // referenced entities by name (order-independence must survive id
-  // renumbering, and names are the id-free identity of an entity).
-  auto Fact = [&](const char *Tag, std::initializer_list<const std::string *>
-                                       Fields,
-                  std::uint64_t Ordinal = 0) {
+  // renumbering, and names are the id-free identity of an entity) and
+  // then the ordinal, if any.
+  auto Fact = [&](const char *Tag,
+                  std::initializer_list<const std::string *> Fields) {
     std::uint64_t H = absorb(FnvOffset, std::string(Tag));
     for (const std::string *F : Fields)
       H = absorb(H, *F);
-    H = absorb(H, Ordinal);
-    CS.add(H);
+    CS.add(absorb(H, std::uint64_t(0)));
   };
-
   for (Id E : EntryMethods)
-    Fact("entry", {&Name(MethodNames, E)});
-  for (const auto &F : Actuals)
-    Fact("actual", {&Name(VarNames, F.Var), &Name(InvokeNames, F.Invoke)},
-         F.Ordinal);
-  for (const auto &F : Assigns)
-    Fact("assign", {&Name(VarNames, F.From), &Name(VarNames, F.To)});
-  for (const auto &F : AssignNews)
-    Fact("assign_new", {&Name(HeapNames, F.Heap), &Name(VarNames, F.To),
-                        &Name(MethodNames, F.InMethod)});
-  for (const auto &F : AssignReturns)
-    Fact("assign_return",
-         {&Name(InvokeNames, F.Invoke), &Name(VarNames, F.To)});
-  for (const auto &F : Formals)
-    Fact("formal", {&Name(VarNames, F.Var), &Name(MethodNames, F.Method)},
-         F.Ordinal);
-  for (const auto &F : HeapTypes)
-    Fact("heap_type", {&Name(HeapNames, F.Heap), &Name(TypeNames, F.Type)});
-  for (const auto &F : Implements)
-    Fact("implements", {&Name(MethodNames, F.Method),
-                        &Name(TypeNames, F.Type), &Name(SigNames, F.Sig)});
-  for (const auto &F : Loads)
-    Fact("load", {&Name(VarNames, F.Base), &Name(FieldNames, F.Field),
-                  &Name(VarNames, F.To)});
-  for (const auto &F : Returns)
-    Fact("return", {&Name(VarNames, F.Var), &Name(MethodNames, F.Method)});
-  for (const auto &F : StaticInvokes)
-    Fact("static_invoke",
-         {&Name(InvokeNames, F.Invoke), &Name(MethodNames, F.Target),
-          &Name(MethodNames, F.InMethod)});
-  for (const auto &F : Stores)
-    Fact("store", {&Name(VarNames, F.From), &Name(FieldNames, F.Field),
-                   &Name(VarNames, F.Base)});
-  for (const auto &F : ThisVars)
-    Fact("this_var", {&Name(VarNames, F.Var), &Name(MethodNames, F.Method)});
-  for (const auto &F : VirtualInvokes)
-    Fact("virtual_invoke",
-         {&Name(InvokeNames, F.Invoke), &Name(VarNames, F.Receiver),
-          &Name(SigNames, F.Sig)});
-  for (const auto &F : GlobalStores)
-    Fact("global_store",
-         {&Name(VarNames, F.From), &Name(GlobalNames, F.Global)});
-  for (const auto &F : GlobalLoads)
-    Fact("global_load", {&Name(GlobalNames, F.Global), &Name(VarNames, F.To),
-                         &Name(MethodNames, F.InMethod)});
-  for (const auto &F : Throws)
-    Fact("throw", {&Name(VarNames, F.Var), &Name(MethodNames, F.Method)});
-  for (const auto &F : Catches)
-    Fact("catch", {&Name(InvokeNames, F.Invoke), &Name(VarNames, F.To)});
-  for (const auto &F : Casts)
-    Fact("cast", {&Name(VarNames, F.From), &Name(VarNames, F.To),
-                  &Name(TypeNames, F.Type)});
-  for (const auto &F : Subtypes)
-    Fact("subtype", {&Name(TypeNames, F.Sub), &Name(TypeNames, F.Super)});
-  for (const auto &F : Spawns)
-    Fact("spawn", {&Name(InvokeNames, F.Invoke)});
-  // Taint annotations: the attachment kind is hashed as a literal word so
-  // an invocation and a field that happen to share a name cannot collide.
-  static const std::string OnInvoke = "on_invoke", OnField = "on_field";
-  auto Attach = [&](const char *Tag, Id IsField, Id Entity) {
-    Fact(Tag, {IsField != 0 ? &OnField : &OnInvoke,
-               IsField != 0 ? &Name(FieldNames, Entity)
-                            : &Name(InvokeNames, Entity)});
-  };
-  for (const auto &F : TaintSources)
-    Attach("taint_source", F.IsField, F.Entity);
-  for (const auto &F : TaintSinks)
-    Attach("taint_sink", F.IsField, F.Entity);
-  for (const auto &F : Sanitizers)
-    Fact("sanitizer", {&Name(InvokeNames, F.Invoke)});
+    Fact("entry", {&MethodNames[E]});
+  forEachInput([&](auto Tr) {
+    using T = decltype(Tr);
+    const std::string Tag = T::Name;
+    for (const auto &F : T::in(*this)) {
+      std::uint64_t H = absorb(FnvOffset, Tag), Ordinal = 0;
+      Id Kind = 0;
+      for (const auto &C : T::Cols) {
+        const Id X = F.*C.Member;
+        if (C.Kind == Col::Ordinal)
+          Ordinal = X;
+        else if (C.Kind == Col::EntityKind)
+          // The attachment kind is hashed as a word of its own so an
+          // invocation and a field that share a name cannot collide.
+          H = absorb(H, "on_" + std::string(
+                            domainOf(Col::Entity, Kind = X).Tag));
+        else
+          H = absorb(H, (this->*domainOf(C.Kind, Kind).Names)[X]);
+      }
+      CS.add(absorb(H, Ordinal));
+    }
+  });
 
   // Parent/classOf attributes, keyed by name on both sides.
   for (std::size_t I = 0; I < VarParent.size(); ++I)
-    Fact("var_parent", {&VarNames[I], &Name(MethodNames, VarParent[I])});
+    Fact("var_parent", {&VarNames[I], &MethodNames[VarParent[I]]});
   for (std::size_t I = 0; I < HeapParent.size(); ++I)
-    Fact("heap_parent", {&HeapNames[I], &Name(MethodNames, HeapParent[I])});
+    Fact("heap_parent", {&HeapNames[I], &MethodNames[HeapParent[I]]});
   for (std::size_t I = 0; I < InvokeParent.size(); ++I)
-    Fact("invoke_parent",
-         {&InvokeNames[I], &Name(MethodNames, InvokeParent[I])});
+    Fact("invoke_parent", {&InvokeNames[I], &MethodNames[InvokeParent[I]]});
   for (std::size_t I = 0; I < MethodClass.size(); ++I)
-    Fact("method_class", {&MethodNames[I], &Name(TypeNames, MethodClass[I])});
+    Fact("method_class", {&MethodNames[I], &TypeNames[MethodClass[I]]});
 
   // Mix the total in so an empty database does not fingerprint as 0.
   return mix64(CS.Sum ^ numInputFacts());
@@ -181,11 +115,6 @@ std::uint64_t FactDB::fingerprint() const {
 
 std::uint64_t FactDB::layoutHash() const {
   std::uint64_t H = FnvOffset;
-  auto Strings = [&H](const std::vector<std::string> &Names) {
-    H = absorb(H, static_cast<std::uint64_t>(Names.size()));
-    for (const std::string &N : Names)
-      H = absorb(H, N);
-  };
   auto Ids = [&H](const std::vector<Id> &V) {
     H = absorb(H, static_cast<std::uint64_t>(V.size()));
     for (Id X : V)
@@ -194,77 +123,22 @@ std::uint64_t FactDB::layoutHash() const {
   // Stored order everywhere: two databases share a layout hash iff the
   // name tables assign identical ids and every fact vector lists its
   // rows in the identical order.
-  Strings(VarNames);
-  Strings(HeapNames);
-  Strings(MethodNames);
-  Strings(InvokeNames);
-  Strings(FieldNames);
-  Strings(TypeNames);
-  Strings(SigNames);
-  Strings(GlobalNames);
+  for (const DomainDesc &D : Domains) {
+    H = absorb(H, static_cast<std::uint64_t>((this->*D.Names).size()));
+    for (const std::string &N : this->*D.Names)
+      H = absorb(H, N);
+  }
   Ids(EntryMethods);
   // Vector lengths first, so rows cannot shift between adjacent
   // predicates without changing the hash.
-  for (std::size_t S :
-       {Actuals.size(), Assigns.size(), AssignNews.size(),
-        AssignReturns.size(), Formals.size(), HeapTypes.size(),
-        Implements.size(), Loads.size(), Returns.size(),
-        StaticInvokes.size(), Stores.size(), ThisVars.size(),
-        VirtualInvokes.size(), GlobalStores.size(), GlobalLoads.size(),
-        Throws.size(), Catches.size(), Casts.size(), Subtypes.size(),
-        Spawns.size(), TaintSources.size(), TaintSinks.size(),
-        Sanitizers.size()})
-    H = absorb(H, static_cast<std::uint64_t>(S));
-  auto Row = [&H](std::initializer_list<Id> Fields) {
-    for (Id F : Fields)
-      H = absorb(H, static_cast<std::uint64_t>(F));
-  };
-  for (const auto &F : Actuals)
-    Row({F.Var, F.Invoke, F.Ordinal});
-  for (const auto &F : Assigns)
-    Row({F.From, F.To});
-  for (const auto &F : AssignNews)
-    Row({F.Heap, F.To, F.InMethod});
-  for (const auto &F : AssignReturns)
-    Row({F.Invoke, F.To});
-  for (const auto &F : Formals)
-    Row({F.Var, F.Method, F.Ordinal});
-  for (const auto &F : HeapTypes)
-    Row({F.Heap, F.Type});
-  for (const auto &F : Implements)
-    Row({F.Method, F.Type, F.Sig});
-  for (const auto &F : Loads)
-    Row({F.Base, F.Field, F.To});
-  for (const auto &F : Returns)
-    Row({F.Var, F.Method});
-  for (const auto &F : StaticInvokes)
-    Row({F.Invoke, F.Target, F.InMethod});
-  for (const auto &F : Stores)
-    Row({F.From, F.Field, F.Base});
-  for (const auto &F : ThisVars)
-    Row({F.Var, F.Method});
-  for (const auto &F : VirtualInvokes)
-    Row({F.Invoke, F.Receiver, F.Sig});
-  for (const auto &F : GlobalStores)
-    Row({F.From, F.Global});
-  for (const auto &F : GlobalLoads)
-    Row({F.Global, F.To, F.InMethod});
-  for (const auto &F : Throws)
-    Row({F.Var, F.Method});
-  for (const auto &F : Catches)
-    Row({F.Invoke, F.To});
-  for (const auto &F : Casts)
-    Row({F.From, F.To, F.Type});
-  for (const auto &F : Subtypes)
-    Row({F.Sub, F.Super});
-  for (const auto &F : Spawns)
-    Row({F.Invoke});
-  for (const auto &F : TaintSources)
-    Row({F.IsField, F.Entity});
-  for (const auto &F : TaintSinks)
-    Row({F.IsField, F.Entity});
-  for (const auto &F : Sanitizers)
-    Row({F.Invoke});
+  forEachInput([&](auto Tr) {
+    H = absorb(H, static_cast<std::uint64_t>(Tr.in(*this).size()));
+  });
+  forEachInput([&](auto Tr) {
+    for (const auto &F : Tr.in(*this))
+      for (const auto &C : Tr.Cols)
+        H = absorb(H, static_cast<std::uint64_t>(F.*C.Member));
+  });
   Ids(VarParent);
   Ids(HeapParent);
   Ids(InvokeParent);
@@ -274,8 +148,7 @@ std::uint64_t FactDB::layoutHash() const {
 
 std::string FactDB::validate() const {
   const std::size_t NV = numVars(), NH = numHeaps(), NM = numMethods(),
-                    NI = numInvokes(), NF = numFields(), NT = numTypes(),
-                    NS = numSigs();
+                    NI = numInvokes(), NT = numTypes();
   if (VarParent.size() != NV)
     return "VarParent table size mismatch";
   if (HeapParent.size() != NH)
@@ -302,83 +175,23 @@ std::string FactDB::validate() const {
     if (!inRange(C, NT))
       return "method class out of range";
 
-  for (const auto &F : Actuals)
-    if (!inRange(F.Var, NV) || !inRange(F.Invoke, NI))
-      return "actual fact out of range";
-  for (const auto &F : Assigns)
-    if (!inRange(F.From, NV) || !inRange(F.To, NV))
-      return "assign fact out of range";
-  for (const auto &F : AssignNews)
-    if (!inRange(F.Heap, NH) || !inRange(F.To, NV) ||
-        !inRange(F.InMethod, NM))
-      return "assign_new fact out of range";
-  for (const auto &F : AssignReturns)
-    if (!inRange(F.Invoke, NI) || !inRange(F.To, NV))
-      return "assign_return fact out of range";
-  for (const auto &F : Formals)
-    if (!inRange(F.Var, NV) || !inRange(F.Method, NM))
-      return "formal fact out of range";
-  for (const auto &F : HeapTypes)
-    if (!inRange(F.Heap, NH) || !inRange(F.Type, NT))
-      return "heap_type fact out of range";
-  for (const auto &F : Implements)
-    if (!inRange(F.Method, NM) || !inRange(F.Type, NT) ||
-        !inRange(F.Sig, NS))
-      return "implements fact out of range";
-  for (const auto &F : Loads)
-    if (!inRange(F.Base, NV) || !inRange(F.Field, NF) || !inRange(F.To, NV))
-      return "load fact out of range";
-  for (const auto &F : Returns)
-    if (!inRange(F.Var, NV) || !inRange(F.Method, NM))
-      return "return fact out of range";
-  for (const auto &F : StaticInvokes)
-    if (!inRange(F.Invoke, NI) || !inRange(F.Target, NM) ||
-        !inRange(F.InMethod, NM))
-      return "static_invoke fact out of range";
-  for (const auto &F : Stores)
-    if (!inRange(F.From, NV) || !inRange(F.Field, NF) ||
-        !inRange(F.Base, NV))
-      return "store fact out of range";
-  for (const auto &F : ThisVars)
-    if (!inRange(F.Var, NV) || !inRange(F.Method, NM))
-      return "this_var fact out of range";
-  for (const auto &F : VirtualInvokes)
-    if (!inRange(F.Invoke, NI) || !inRange(F.Receiver, NV) ||
-        !inRange(F.Sig, NS))
-      return "virtual_invoke fact out of range";
-  const std::size_t NG = numGlobals();
-  for (const auto &F : GlobalStores)
-    if (!inRange(F.From, NV) || !inRange(F.Global, NG))
-      return "global_store fact out of range";
-  for (const auto &F : GlobalLoads)
-    if (!inRange(F.Global, NG) || !inRange(F.To, NV) ||
-        !inRange(F.InMethod, NM))
-      return "global_load fact out of range";
-  for (const auto &F : Throws)
-    if (!inRange(F.Var, NV) || !inRange(F.Method, NM))
-      return "throw fact out of range";
-  for (const auto &F : Catches)
-    if (!inRange(F.Invoke, NI) || !inRange(F.To, NV))
-      return "catch fact out of range";
-  for (const auto &F : Casts)
-    if (!inRange(F.From, NV) || !inRange(F.To, NV) || !inRange(F.Type, NT))
-      return "cast fact out of range";
-  for (const auto &F : Subtypes)
-    if (!inRange(F.Sub, NT) || !inRange(F.Super, NT))
-      return "subtype fact out of range";
-  for (const auto &F : Spawns)
-    if (!inRange(F.Invoke, NI))
-      return "spawn fact out of range";
-  for (const auto &F : TaintSources)
-    if (F.IsField > 1 ||
-        !inRange(F.Entity, F.IsField != 0 ? NF : NI))
-      return "taint_source fact out of range";
-  for (const auto &F : TaintSinks)
-    if (F.IsField > 1 ||
-        !inRange(F.Entity, F.IsField != 0 ? NF : NI))
-      return "taint_sink fact out of range";
-  for (const auto &F : Sanitizers)
-    if (!inRange(F.Invoke, NI))
-      return "sanitizer fact out of range";
-  return "";
+  // The first predicate, in table order, with a row naming an id past
+  // its domain (or a taint attachment kind other than 0/1).
+  std::string Err;
+  forEachInput([&](auto Tr) {
+    for (const auto &F : Tr.in(*this)) {
+      Id Kind = 0;
+      for (const auto &C : Tr.Cols) {
+        const Id X = F.*C.Member;
+        const bool Bad =
+            C.Kind == Col::EntityKind ? (Kind = X) > 1
+            : C.Kind == Col::Ordinal
+                ? false
+                : !inRange(X, (this->*domainOf(C.Kind, Kind).Names).size());
+        if (Bad && Err.empty())
+          Err = std::string(Tr.Name) + " fact out of range";
+      }
+    }
+  });
+  return Err;
 }

@@ -6,10 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The thirteen input predicates of Figure 3 of the paper, stored as flat
-/// vectors of id tuples, plus the auxiliary parent/classOf information the
+/// The input predicates, stored as flat vectors of id tuples: the thirteen
+/// of Figure 3 of the paper, six extensions its evaluated implementation
+/// has (global_store, global_load, throw, catch, cast, subtype), and four
+/// client annotations (spawn, taint_source, taint_sink, sanitizer), plus
+/// the entry points and the auxiliary parent/classOf information the
 /// context-sensitivity flavours need (classOf(H) for type sensitivity is
 /// "the class type in which the method that contains H is implemented").
+/// facts/Schema.h describes each of the 23 predicates once.
 ///
 /// A FactDB is the sole interface between program representations and the
 /// analysis: it can be extracted from an ir::Program (facts/Extract.h) or
@@ -228,7 +232,8 @@ struct FactDB {
   /// classOf(H): the class declaring the method that contains heap site H.
   Id classOfHeap(Id H) const { return MethodClass[HeapParent[H]]; }
 
-  /// Total number of input facts across all thirteen predicates.
+  /// Total number of input facts across all 23 predicates (entry points
+  /// and parent tables excluded).
   std::size_t numInputFacts() const;
 
   /// Deterministic, order-independent content hash of everything the

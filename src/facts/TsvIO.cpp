@@ -7,6 +7,7 @@
 
 #include "facts/TsvIO.h"
 
+#include "facts/Schema.h"
 #include "support/Tsv.h"
 
 #include <unordered_map>
@@ -38,34 +39,19 @@ private:
   std::unordered_map<std::string, Id> Ids;
 };
 
-std::string writeDomain(const std::string &Dir, const char *File,
+std::string writeDomain(const std::string &Dir, const std::string &File,
                         const std::vector<std::string> &Names) {
   Rows R;
   R.reserve(Names.size());
   for (const std::string &N : Names)
     R.push_back({N});
   if (!writeTsvFile(Dir + "/" + File, R))
-    return std::string("cannot write ") + File;
+    return "cannot write " + File;
   return "";
 }
 
-std::string location(const char *File, unsigned LineNo) {
-  return std::string(File) + ":" + std::to_string(LineNo);
-}
-
-/// Parses a decimal ordinal column; rejects empty, non-digit, and
-/// overflowing values (std::stoul would throw or silently wrap).
-bool parseOrdinal(const std::string &S, Id &Out) {
-  if (S.empty() || S.size() > 9)
-    return false;
-  std::uint32_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    V = V * 10 + static_cast<std::uint32_t>(C - '0');
-  }
-  Out = V;
-  return true;
+std::string location(const std::string &File, unsigned LineNo) {
+  return File + ":" + std::to_string(LineNo);
 }
 
 /// Shared malformed-line policy: strict reads fail on the first bad line,
@@ -108,7 +94,8 @@ private:
 /// Funnels raw-line rejections (NUL bytes, over-long lines) into the
 /// shared malformed-line policy with the usual "File:LINE: reason"
 /// shape. \returns true when the read should abort (strict mode).
-bool reportRejects(const char *File, const std::vector<TsvReject> &Rejects,
+bool reportRejects(const std::string &File,
+                   const std::vector<TsvReject> &Rejects,
                    ErrorSink &Sink) {
   for (const TsvReject &Rej : Rejects)
     if (Sink.malformed(location(File, Rej.LineNo) + ": " + Rej.Reason))
@@ -116,14 +103,14 @@ bool reportRejects(const char *File, const std::vector<TsvReject> &Rejects,
   return false;
 }
 
-void readDomain(const std::string &Dir, const char *File,
+void readDomain(const std::string &Dir, const std::string &File,
                 std::vector<std::string> &Names, ErrorSink &Sink) {
   if (Sink.failed())
     return;
   std::vector<TsvLine> R;
   std::vector<TsvReject> Rejects;
   if (!readTsvLines(Dir + "/" + File, R, &Rejects)) {
-    Sink.fail(std::string("cannot read ") + File);
+    Sink.fail("cannot read " + File);
     return;
   }
   if (reportRejects(File, Rejects, Sink))
@@ -158,20 +145,14 @@ std::string facts::writeFactsDir(const FactDB &DB, const std::string &Dir) {
       Err = E;
   };
 
-  Check(writeDomain(Dir, "Domain.var", DB.VarNames));
-  Check(writeDomain(Dir, "Domain.heap", DB.HeapNames));
-  Check(writeDomain(Dir, "Domain.method", DB.MethodNames));
-  Check(writeDomain(Dir, "Domain.invoke", DB.InvokeNames));
-  Check(writeDomain(Dir, "Domain.field", DB.FieldNames));
-  Check(writeDomain(Dir, "Domain.type", DB.TypeNames));
-  Check(writeDomain(Dir, "Domain.sig", DB.SigNames));
-  Check(writeDomain(Dir, "Domain.global", DB.GlobalNames));
+  for (const DomainDesc &D : Domains)
+    Check(writeDomain(Dir, "Domain." + std::string(D.Tag), DB.*D.Names));
   if (!Err.empty())
     return Err;
 
-  auto W = [&](const char *File, const Rows &R) {
+  auto W = [&](const std::string &File, const Rows &R) {
     if (!writeTsvFile(Dir + "/" + File, R))
-      Check(std::string("cannot write ") + File);
+      Check("cannot write " + File);
   };
 
   Rows R;
@@ -179,157 +160,30 @@ std::string facts::writeFactsDir(const FactDB &DB, const std::string &Dir) {
     R.push_back({DB.MethodNames[E]});
   W("Entry.facts", R);
 
-  R.clear();
-  for (const auto &F : DB.Actuals)
-    R.push_back({DB.VarNames[F.Var], DB.InvokeNames[F.Invoke],
-                 std::to_string(F.Ordinal)});
-  W("Actual.facts", R);
+  forEachInput([&](auto Tr) {
+    using T = decltype(Tr);
+    R.clear();
+    for (const auto &F : T::in(DB)) {
+      std::vector<std::string> &Row = R.emplace_back();
+      encodeRow<T>(DB, F,
+                   [&Row](std::string S) { Row.push_back(std::move(S)); });
+    }
+    W(T::File, R);
+  });
 
-  R.clear();
-  for (const auto &F : DB.Assigns)
-    R.push_back({DB.VarNames[F.From], DB.VarNames[F.To]});
-  W("Assign.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.AssignNews)
-    R.push_back({DB.HeapNames[F.Heap], DB.VarNames[F.To],
-                 DB.MethodNames[F.InMethod]});
-  W("AssignNew.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.AssignReturns)
-    R.push_back({DB.InvokeNames[F.Invoke], DB.VarNames[F.To]});
-  W("AssignReturn.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.Formals)
-    R.push_back({DB.VarNames[F.Var], DB.MethodNames[F.Method],
-                 std::to_string(F.Ordinal)});
-  W("Formal.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.HeapTypes)
-    R.push_back({DB.HeapNames[F.Heap], DB.TypeNames[F.Type]});
-  W("HeapType.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.Implements)
-    R.push_back({DB.MethodNames[F.Method], DB.TypeNames[F.Type],
-                 DB.SigNames[F.Sig]});
-  W("Implements.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.Loads)
-    R.push_back({DB.VarNames[F.Base], DB.FieldNames[F.Field],
-                 DB.VarNames[F.To]});
-  W("Load.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.Returns)
-    R.push_back({DB.VarNames[F.Var], DB.MethodNames[F.Method]});
-  W("Return.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.StaticInvokes)
-    R.push_back({DB.InvokeNames[F.Invoke], DB.MethodNames[F.Target],
-                 DB.MethodNames[F.InMethod]});
-  W("StaticInvoke.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.Stores)
-    R.push_back({DB.VarNames[F.From], DB.FieldNames[F.Field],
-                 DB.VarNames[F.Base]});
-  W("Store.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.ThisVars)
-    R.push_back({DB.VarNames[F.Var], DB.MethodNames[F.Method]});
-  W("ThisVar.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.VirtualInvokes)
-    R.push_back({DB.InvokeNames[F.Invoke], DB.VarNames[F.Receiver],
-                 DB.SigNames[F.Sig]});
-  W("VirtualInvoke.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.GlobalStores)
-    R.push_back({DB.VarNames[F.From], DB.GlobalNames[F.Global]});
-  W("GlobalStore.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.GlobalLoads)
-    R.push_back({DB.GlobalNames[F.Global], DB.VarNames[F.To],
-                 DB.MethodNames[F.InMethod]});
-  W("GlobalLoad.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.Throws)
-    R.push_back({DB.VarNames[F.Var], DB.MethodNames[F.Method]});
-  W("Throw.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.Catches)
-    R.push_back({DB.InvokeNames[F.Invoke], DB.VarNames[F.To]});
-  W("Catch.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.Casts)
-    R.push_back({DB.VarNames[F.From], DB.VarNames[F.To],
-                 DB.TypeNames[F.Type]});
-  W("Cast.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.Subtypes)
-    R.push_back({DB.TypeNames[F.Sub], DB.TypeNames[F.Super]});
-  W("Subtype.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.Spawns)
-    R.push_back({DB.InvokeNames[F.Invoke]});
-  W("Spawn.facts", R);
-
-  // Taint annotations carry an attachment-kind column so one predicate
-  // covers both call sites and fields (Doop uses the same encoding for
-  // its TaintSourceMethod/TaintSpec unions).
-  auto AttachRow = [&](Id IsField, Id Entity) -> std::vector<std::string> {
-    return {IsField != 0 ? "field" : "invoke",
-            IsField != 0 ? DB.FieldNames[Entity] : DB.InvokeNames[Entity]};
+  auto Parents = [&](const std::string &File, Col Child, Col Parent,
+                     const std::vector<Id> &Table) {
+    const auto &C = DB.*domainOf(Child, 0).Names,
+               &P = DB.*domainOf(Parent, 0).Names;
+    R.clear();
+    for (std::size_t X = 0; X < Table.size(); ++X)
+      R.push_back({C[X], P[Table[X]]});
+    W(File, R);
   };
-  R.clear();
-  for (const auto &F : DB.TaintSources)
-    R.push_back(AttachRow(F.IsField, F.Entity));
-  W("TaintSource.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.TaintSinks)
-    R.push_back(AttachRow(F.IsField, F.Entity));
-  W("TaintSink.facts", R);
-
-  R.clear();
-  for (const auto &F : DB.Sanitizers)
-    R.push_back({DB.InvokeNames[F.Invoke]});
-  W("Sanitizer.facts", R);
-
-  R.clear();
-  for (std::size_t V = 0; V < DB.VarParent.size(); ++V)
-    R.push_back({DB.VarNames[V], DB.MethodNames[DB.VarParent[V]]});
-  W("VarParent.facts", R);
-
-  R.clear();
-  for (std::size_t H = 0; H < DB.HeapParent.size(); ++H)
-    R.push_back({DB.HeapNames[H], DB.MethodNames[DB.HeapParent[H]]});
-  W("HeapParent.facts", R);
-
-  R.clear();
-  for (std::size_t I = 0; I < DB.InvokeParent.size(); ++I)
-    R.push_back({DB.InvokeNames[I], DB.MethodNames[DB.InvokeParent[I]]});
-  W("InvokeParent.facts", R);
-
-  R.clear();
-  for (std::size_t M = 0; M < DB.MethodClass.size(); ++M)
-    R.push_back({DB.MethodNames[M], DB.TypeNames[DB.MethodClass[M]]});
-  W("MethodClass.facts", R);
+  Parents("VarParent.facts", Col::Var, Col::Method, DB.VarParent);
+  Parents("HeapParent.facts", Col::Heap, Col::Method, DB.HeapParent);
+  Parents("InvokeParent.facts", Col::Invoke, Col::Method, DB.InvokeParent);
+  Parents("MethodClass.facts", Col::Method, Col::Type, DB.MethodClass);
 
   return Err;
 }
@@ -344,28 +198,29 @@ std::string facts::readFactsDir(const std::string &Dir, FactDB &DB,
   DB = FactDB();
   ErrorSink Sink(Opts.Lenient, Report);
 
-  readDomain(Dir, "Domain.var", DB.VarNames, Sink);
-  readDomain(Dir, "Domain.heap", DB.HeapNames, Sink);
-  readDomain(Dir, "Domain.method", DB.MethodNames, Sink);
-  readDomain(Dir, "Domain.invoke", DB.InvokeNames, Sink);
-  readDomain(Dir, "Domain.field", DB.FieldNames, Sink);
-  readDomain(Dir, "Domain.type", DB.TypeNames, Sink);
-  readDomain(Dir, "Domain.sig", DB.SigNames, Sink);
-  readDomain(Dir, "Domain.global", DB.GlobalNames, Sink);
+  for (const DomainDesc &D : Domains)
+    readDomain(Dir, "Domain." + std::string(D.Tag), DB.*D.Names, Sink);
   if (Sink.failed())
     return Sink.error();
 
-  NameMap Vars(DB.VarNames), Heaps(DB.HeapNames), Methods(DB.MethodNames),
-      Invokes(DB.InvokeNames), Fields(DB.FieldNames), Types(DB.TypeNames),
-      Sigs(DB.SigNames), Globals(DB.GlobalNames);
+  std::vector<NameMap> Maps;
+  for (const DomainDesc &D : Domains)
+    Maps.emplace_back(DB.*D.Names);
+  auto Resolve = [&Maps](const DomainDesc &D, const std::string &Name) {
+    return Maps[static_cast<std::size_t>(&D - Domains)].lookup(Name);
+  };
 
-  auto Read = [&](const char *File, std::size_t Arity, auto &&Handler) {
+  /// Reads \p File row by row through \p Handler. A missing \p Optional
+  /// file reads as empty.
+  auto Read = [&](const std::string &File, std::size_t Arity, bool Optional,
+                  auto &&Handler) {
     if (Sink.failed())
       return;
     std::vector<TsvLine> R;
     std::vector<TsvReject> Rejects;
     if (!readTsvLines(Dir + "/" + File, R, &Rejects)) {
-      Sink.fail(std::string("cannot read ") + File);
+      if (!Optional)
+        Sink.fail("cannot read " + File);
       return;
     }
     if (reportRejects(File, Rejects, Sink))
@@ -391,273 +246,43 @@ std::string facts::readFactsDir(const std::string &Dir, FactDB &DB,
 
   auto Ok = [](Id X) { return X != InvalidId; };
 
-  Read("Entry.facts", 1, [&](const std::vector<std::string> &Row) {
-    Id M = Methods.lookup(Row[0]);
+  Read("Entry.facts", 1, false, [&](const std::vector<std::string> &Row) {
+    Id M = Resolve(domainOf(Col::Method, 0), Row[0]);
     if (!Ok(M))
       return false;
     DB.EntryMethods.push_back(M);
     return true;
   });
 
-  Read("Actual.facts", 3, [&](const std::vector<std::string> &Row) {
-    Id V = Vars.lookup(Row[0]), I = Invokes.lookup(Row[1]), Ord;
-    if (!Ok(V) || !Ok(I) || !parseOrdinal(Row[2], Ord))
-      return false;
-    DB.Actuals.push_back({V, I, Ord});
-    return true;
+  forEachInput([&](auto Tr) {
+    using T = decltype(Tr);
+    Read(T::File, std::size(T::Cols), T::Optional,
+         [&](const std::vector<std::string> &Row) {
+           typename T::Fact F;
+           if (!decodeRow<T>(Row.data(), Resolve, F).empty())
+             return false;
+           T::in(DB).push_back(F);
+           return true;
+         });
   });
 
-  Read("Assign.facts", 2, [&](const std::vector<std::string> &Row) {
-    Id F = Vars.lookup(Row[0]), T = Vars.lookup(Row[1]);
-    if (!Ok(F) || !Ok(T))
-      return false;
-    DB.Assigns.push_back({F, T});
-    return true;
-  });
-
-  Read("AssignNew.facts", 3, [&](const std::vector<std::string> &Row) {
-    Id H = Heaps.lookup(Row[0]), V = Vars.lookup(Row[1]),
-       M = Methods.lookup(Row[2]);
-    if (!Ok(H) || !Ok(V) || !Ok(M))
-      return false;
-    DB.AssignNews.push_back({H, V, M});
-    return true;
-  });
-
-  Read("AssignReturn.facts", 2, [&](const std::vector<std::string> &Row) {
-    Id I = Invokes.lookup(Row[0]), V = Vars.lookup(Row[1]);
-    if (!Ok(I) || !Ok(V))
-      return false;
-    DB.AssignReturns.push_back({I, V});
-    return true;
-  });
-
-  Read("Formal.facts", 3, [&](const std::vector<std::string> &Row) {
-    Id V = Vars.lookup(Row[0]), M = Methods.lookup(Row[1]), Ord;
-    if (!Ok(V) || !Ok(M) || !parseOrdinal(Row[2], Ord))
-      return false;
-    DB.Formals.push_back({V, M, Ord});
-    return true;
-  });
-
-  Read("HeapType.facts", 2, [&](const std::vector<std::string> &Row) {
-    Id H = Heaps.lookup(Row[0]), T = Types.lookup(Row[1]);
-    if (!Ok(H) || !Ok(T))
-      return false;
-    DB.HeapTypes.push_back({H, T});
-    return true;
-  });
-
-  Read("Implements.facts", 3, [&](const std::vector<std::string> &Row) {
-    Id M = Methods.lookup(Row[0]), T = Types.lookup(Row[1]),
-       S = Sigs.lookup(Row[2]);
-    if (!Ok(M) || !Ok(T) || !Ok(S))
-      return false;
-    DB.Implements.push_back({M, T, S});
-    return true;
-  });
-
-  Read("Load.facts", 3, [&](const std::vector<std::string> &Row) {
-    Id B = Vars.lookup(Row[0]), F = Fields.lookup(Row[1]),
-       T = Vars.lookup(Row[2]);
-    if (!Ok(B) || !Ok(F) || !Ok(T))
-      return false;
-    DB.Loads.push_back({B, F, T});
-    return true;
-  });
-
-  Read("Return.facts", 2, [&](const std::vector<std::string> &Row) {
-    Id V = Vars.lookup(Row[0]), M = Methods.lookup(Row[1]);
-    if (!Ok(V) || !Ok(M))
-      return false;
-    DB.Returns.push_back({V, M});
-    return true;
-  });
-
-  Read("StaticInvoke.facts", 3, [&](const std::vector<std::string> &Row) {
-    Id I = Invokes.lookup(Row[0]), Q = Methods.lookup(Row[1]),
-       P = Methods.lookup(Row[2]);
-    if (!Ok(I) || !Ok(Q) || !Ok(P))
-      return false;
-    DB.StaticInvokes.push_back({I, Q, P});
-    return true;
-  });
-
-  Read("Store.facts", 3, [&](const std::vector<std::string> &Row) {
-    Id F = Vars.lookup(Row[0]), Fd = Fields.lookup(Row[1]),
-       B = Vars.lookup(Row[2]);
-    if (!Ok(F) || !Ok(Fd) || !Ok(B))
-      return false;
-    DB.Stores.push_back({F, Fd, B});
-    return true;
-  });
-
-  Read("ThisVar.facts", 2, [&](const std::vector<std::string> &Row) {
-    Id V = Vars.lookup(Row[0]), M = Methods.lookup(Row[1]);
-    if (!Ok(V) || !Ok(M))
-      return false;
-    DB.ThisVars.push_back({V, M});
-    return true;
-  });
-
-  Read("VirtualInvoke.facts", 3, [&](const std::vector<std::string> &Row) {
-    Id I = Invokes.lookup(Row[0]), V = Vars.lookup(Row[1]),
-       S = Sigs.lookup(Row[2]);
-    if (!Ok(I) || !Ok(V) || !Ok(S))
-      return false;
-    DB.VirtualInvokes.push_back({I, V, S});
-    return true;
-  });
-
-  Read("GlobalStore.facts", 2, [&](const std::vector<std::string> &Row) {
-    Id V = Vars.lookup(Row[0]), G = Globals.lookup(Row[1]);
-    if (!Ok(V) || !Ok(G))
-      return false;
-    DB.GlobalStores.push_back({V, G});
-    return true;
-  });
-
-  Read("GlobalLoad.facts", 3, [&](const std::vector<std::string> &Row) {
-    Id G = Globals.lookup(Row[0]), V = Vars.lookup(Row[1]),
-       M = Methods.lookup(Row[2]);
-    if (!Ok(G) || !Ok(V) || !Ok(M))
-      return false;
-    DB.GlobalLoads.push_back({G, V, M});
-    return true;
-  });
-
-  Read("Throw.facts", 2, [&](const std::vector<std::string> &Row) {
-    Id V = Vars.lookup(Row[0]), M = Methods.lookup(Row[1]);
-    if (!Ok(V) || !Ok(M))
-      return false;
-    DB.Throws.push_back({V, M});
-    return true;
-  });
-
-  Read("Catch.facts", 2, [&](const std::vector<std::string> &Row) {
-    Id I = Invokes.lookup(Row[0]), V = Vars.lookup(Row[1]);
-    if (!Ok(I) || !Ok(V))
-      return false;
-    DB.Catches.push_back({I, V});
-    return true;
-  });
-
-  Read("Cast.facts", 3, [&](const std::vector<std::string> &Row) {
-    Id F = Vars.lookup(Row[0]), T = Vars.lookup(Row[1]),
-       Ty = Types.lookup(Row[2]);
-    if (!Ok(F) || !Ok(T) || !Ok(Ty))
-      return false;
-    DB.Casts.push_back({F, T, Ty});
-    return true;
-  });
-
-  Read("Subtype.facts", 2, [&](const std::vector<std::string> &Row) {
-    Id S = Types.lookup(Row[0]), Sup = Types.lookup(Row[1]);
-    if (!Ok(S) || !Ok(Sup))
-      return false;
-    DB.Subtypes.push_back({S, Sup});
-    return true;
-  });
-
-  // Spawn.facts is a later schema addition; directories written before it
-  // existed simply have no spawn sites, so a missing file is not an error.
-  {
-    std::vector<TsvLine> Probe;
-    if (readTsvLines(Dir + "/Spawn.facts", Probe))
-      Read("Spawn.facts", 1, [&](const std::vector<std::string> &Row) {
-        Id I = Invokes.lookup(Row[0]);
-        if (!Ok(I))
-          return false;
-        DB.Spawns.push_back({I});
-        return true;
-      });
-  }
-
-  // The taint predicates are likewise optional on read: directories from
-  // before the taint client carry no annotations. Rows name the
-  // attachment kind explicitly ("invoke" or "field").
-  auto ParseAttach = [&](const std::vector<std::string> &Row, Id &IsField,
-                         Id &Entity) {
-    if (Row[0] == "invoke") {
-      IsField = 0;
-      Entity = Invokes.lookup(Row[1]);
-    } else if (Row[0] == "field") {
-      IsField = 1;
-      Entity = Fields.lookup(Row[1]);
-    } else {
-      return false;
-    }
-    return Entity != InvalidId;
+  // One row per entity of the Child domain, naming its Parent entity.
+  auto Parents = [&](const std::string &File, Col Child, Col Parent,
+                     std::vector<Id> &Table) {
+    const DomainDesc &C = domainOf(Child, 0), &P = domainOf(Parent, 0);
+    Table.assign((DB.*C.Names).size(), InvalidId);
+    Read(File, 2, false, [&](const std::vector<std::string> &Row) {
+      Id X = Resolve(C, Row[0]), Y = Resolve(P, Row[1]);
+      if (!Ok(X) || !Ok(Y))
+        return false;
+      Table[X] = Y;
+      return true;
+    });
   };
-  {
-    std::vector<TsvLine> Probe;
-    if (readTsvLines(Dir + "/TaintSource.facts", Probe))
-      Read("TaintSource.facts", 2, [&](const std::vector<std::string> &Row) {
-        Id IsField, Entity;
-        if (!ParseAttach(Row, IsField, Entity))
-          return false;
-        DB.TaintSources.push_back({IsField, Entity});
-        return true;
-      });
-  }
-  {
-    std::vector<TsvLine> Probe;
-    if (readTsvLines(Dir + "/TaintSink.facts", Probe))
-      Read("TaintSink.facts", 2, [&](const std::vector<std::string> &Row) {
-        Id IsField, Entity;
-        if (!ParseAttach(Row, IsField, Entity))
-          return false;
-        DB.TaintSinks.push_back({IsField, Entity});
-        return true;
-      });
-  }
-  {
-    std::vector<TsvLine> Probe;
-    if (readTsvLines(Dir + "/Sanitizer.facts", Probe))
-      Read("Sanitizer.facts", 1, [&](const std::vector<std::string> &Row) {
-        Id I = Invokes.lookup(Row[0]);
-        if (!Ok(I))
-          return false;
-        DB.Sanitizers.push_back({I});
-        return true;
-      });
-  }
-
-  DB.VarParent.assign(DB.VarNames.size(), InvalidId);
-  Read("VarParent.facts", 2, [&](const std::vector<std::string> &Row) {
-    Id V = Vars.lookup(Row[0]), M = Methods.lookup(Row[1]);
-    if (!Ok(V) || !Ok(M))
-      return false;
-    DB.VarParent[V] = M;
-    return true;
-  });
-
-  DB.HeapParent.assign(DB.HeapNames.size(), InvalidId);
-  Read("HeapParent.facts", 2, [&](const std::vector<std::string> &Row) {
-    Id H = Heaps.lookup(Row[0]), M = Methods.lookup(Row[1]);
-    if (!Ok(H) || !Ok(M))
-      return false;
-    DB.HeapParent[H] = M;
-    return true;
-  });
-
-  DB.InvokeParent.assign(DB.InvokeNames.size(), InvalidId);
-  Read("InvokeParent.facts", 2, [&](const std::vector<std::string> &Row) {
-    Id I = Invokes.lookup(Row[0]), M = Methods.lookup(Row[1]);
-    if (!Ok(I) || !Ok(M))
-      return false;
-    DB.InvokeParent[I] = M;
-    return true;
-  });
-
-  DB.MethodClass.assign(DB.MethodNames.size(), InvalidId);
-  Read("MethodClass.facts", 2, [&](const std::vector<std::string> &Row) {
-    Id M = Methods.lookup(Row[0]), T = Types.lookup(Row[1]);
-    if (!Ok(M) || !Ok(T))
-      return false;
-    DB.MethodClass[M] = T;
-    return true;
-  });
+  Parents("VarParent.facts", Col::Var, Col::Method, DB.VarParent);
+  Parents("HeapParent.facts", Col::Heap, Col::Method, DB.HeapParent);
+  Parents("InvokeParent.facts", Col::Invoke, Col::Method, DB.InvokeParent);
+  Parents("MethodClass.facts", Col::Method, Col::Type, DB.MethodClass);
 
   if (Sink.failed())
     return Sink.error();

@@ -12,18 +12,14 @@
 /// format of the paper's pipeline, where a Soot-based generator writes
 /// facts to disk and the Datalog engine reads them.
 ///
-/// Files written:
-///   Domain.var / .heap / .method / .invoke / .field / .type / .sig
-///   Entry.facts, Actual.facts, Assign.facts, AssignNew.facts,
-///   AssignReturn.facts, Formal.facts, HeapType.facts, Implements.facts,
-///   Load.facts, Return.facts, StaticInvoke.facts, Store.facts,
-///   ThisVar.facts, VirtualInvoke.facts, VarParent.facts,
-///   HeapParent.facts, InvokeParent.facts, MethodClass.facts,
-///   Spawn.facts (thread-spawn invocation markers; optional on read —
-///   directories from before the schema gained spawns load as spawn-free),
-///   TaintSource.facts / TaintSink.facts (rows "invoke\t<name>" or
-///   "field\t<name>") and Sanitizer.facts (invocation names) — the taint
-///   client's annotations, likewise optional on read
+/// Files written: Domain.<tag> for each entity domain (var, heap, method,
+/// invoke, field, type, sig, global), Entry.facts, one file per input
+/// predicate as named in facts/Schema.h (ordinals in decimal; taint rows
+/// "invoke\t<name>" or "field\t<name>"), and VarParent.facts,
+/// HeapParent.facts, InvokeParent.facts, MethodClass.facts. The files of
+/// the client annotations (Spawn, TaintSource, TaintSink, Sanitizer) are
+/// optional on read: directories from before the schema gained them load
+/// without those annotations.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,7 +7,7 @@
 
 #include "serve/Delta.h"
 
-#include <cstdlib>
+#include "facts/Schema.h"
 
 using namespace ctp;
 using namespace ctp::serve;
@@ -52,19 +52,6 @@ std::string resolve(const std::vector<std::string> &Names,
   return {};
 }
 
-std::string parseOrdinal(const std::string &Tok, Id &Out) {
-  if (Tok.empty())
-    return "empty ordinal";
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(Tok.c_str(), &End, 10);
-  if (*End != '\0' || Tok[0] < '0' || Tok[0] > '9')
-    return "ordinal '" + Tok + "' is not a number";
-  if (V > 0xFFFFFFFFull)
-    return "ordinal '" + Tok + "' is out of range";
-  Out = static_cast<Id>(V);
-  return {};
-}
-
 template <typename T, typename Eq>
 std::string addRow(std::vector<T> &Rows, const T &Row, Eq Same,
                    const char *Pred) {
@@ -90,76 +77,109 @@ std::string applyEntity(const std::vector<std::string> &T, FactDB &DB) {
   if (T.size() < 4)
     return "usage: add entity <kind> <name> [<parent>]";
   const std::string &Kind = T[2], &Name = T[3];
-  auto Fresh = [&Name](const std::vector<std::string> &Names,
-                       const char *K) -> std::string {
-    if (findName(Names, Name) != facts::InvalidId)
-      return std::string(K) + " '" + Name + "' already exists";
-    return {};
-  };
-  if (Kind == "var" || Kind == "heap" || Kind == "invoke") {
+  const facts::DomainDesc *Dom = nullptr;
+  for (const facts::DomainDesc &D : facts::Domains)
+    if (Kind == D.Tag)
+      Dom = &D;
+  auto Is = [Dom](facts::Col C) { return Dom == &facts::domainOf(C, 0); };
+  // var, heap and invoke entities name their parent method, a method its
+  // class type; the parent tables grow in step with the name tables.
+  std::vector<Id> *Parent = Is(facts::Col::Var)      ? &DB.VarParent
+                            : Is(facts::Col::Heap)   ? &DB.HeapParent
+                            : Is(facts::Col::Invoke) ? &DB.InvokeParent
+                            : Is(facts::Col::Method) ? &DB.MethodClass
+                                                     : nullptr;
+  const bool IsMethod = Parent == &DB.MethodClass;
+  Id ParentId = facts::InvalidId;
+  if (Parent) {
     if (T.size() != 5)
-      return "usage: add entity " + Kind + " <name> <parent-method>";
-    Id Parent;
-    if (auto E = resolve(DB.MethodNames, T[4], "method", Parent); !E.empty())
+      return "usage: add entity " + Kind +
+             (IsMethod ? " <name> <class-type>" : " <name> <parent-method>");
+    if (auto E = IsMethod ? resolve(DB.TypeNames, T[4], "type", ParentId)
+                          : resolve(DB.MethodNames, T[4], "method", ParentId);
+        !E.empty())
       return E;
-    if (Kind == "var") {
-      if (auto E = Fresh(DB.VarNames, "variable"); !E.empty())
-        return E;
-      DB.VarNames.push_back(Name);
-      DB.VarParent.push_back(Parent);
-    } else if (Kind == "heap") {
-      if (auto E = Fresh(DB.HeapNames, "heap site"); !E.empty())
-        return E;
-      DB.HeapNames.push_back(Name);
-      DB.HeapParent.push_back(Parent);
-    } else {
-      if (auto E = Fresh(DB.InvokeNames, "invocation"); !E.empty())
-        return E;
-      DB.InvokeNames.push_back(Name);
-      DB.InvokeParent.push_back(Parent);
-    }
-    return {};
-  }
-  if (Kind == "method") {
-    if (T.size() != 5)
-      return "usage: add entity method <name> <class-type>";
-    Id Class;
-    if (auto E = resolve(DB.TypeNames, T[4], "type", Class); !E.empty())
-      return E;
-    if (auto E = Fresh(DB.MethodNames, "method"); !E.empty())
-      return E;
-    DB.MethodNames.push_back(Name);
-    DB.MethodClass.push_back(Class);
-    return {};
-  }
-  if (T.size() != 4)
+  } else if (T.size() != 4) {
     return "usage: add entity " + Kind + " <name>";
-  if (Kind == "field") {
-    if (auto E = Fresh(DB.FieldNames, "field"); !E.empty())
-      return E;
-    DB.FieldNames.push_back(Name);
-    return {};
   }
-  if (Kind == "type") {
-    if (auto E = Fresh(DB.TypeNames, "type"); !E.empty())
-      return E;
-    DB.TypeNames.push_back(Name);
-    return {};
+  if (!Dom)
+    return "unknown entity kind '" + Kind + "' (var, heap, invoke, method, "
+           "field, type, sig, global)";
+  std::vector<std::string> &Names = DB.*Dom->Names;
+  if (findName(Names, Name) != facts::InvalidId)
+    return std::string(Dom->Noun) + " '" + Name + "' already exists";
+  Names.push_back(Name);
+  if (Parent)
+    Parent->push_back(ParentId);
+  return {};
+}
+
+/// The cross-predicate rule the solver relies on: a dispatch target (a
+/// method named by an implements row) has a this_var row, since virtual
+/// dispatch flows the receiver into it. Rows of other predicates pass.
+template <class Fact>
+std::string crossCheck(const FactDB &, const Fact &, bool,
+                       const std::vector<std::string> &) {
+  return {};
+}
+
+std::string crossCheck(const FactDB &DB, const facts::ImplementsFact &F,
+                       bool Add, const std::vector<std::string> &T) {
+  if (Add) {
+    for (const auto &TV : DB.ThisVars)
+      if (TV.Method == F.Method)
+        return {};
+    return "method '" + T[2] + "' has no this_var row (add one before "
+           "making it a dispatch target)";
   }
-  if (Kind == "sig") {
-    if (auto E = Fresh(DB.SigNames, "signature"); !E.empty())
-      return E;
-    DB.SigNames.push_back(Name);
-    return {};
-  }
-  if (Kind == "global") {
-    if (auto E = Fresh(DB.GlobalNames, "global"); !E.empty())
-      return E;
-    DB.GlobalNames.push_back(Name);
-    return {};
-  }
-  return "unknown entity kind '" + Kind + "' (var, heap, invoke, method, "
-         "field, type, sig, global)";
+  return {};
+}
+
+std::string crossCheck(const FactDB &DB, const facts::ThisVarFact &F,
+                       bool Add, const std::vector<std::string> &T) {
+  if (!Add)
+    for (const auto &Im : DB.Implements)
+      if (Im.Method == F.Method)
+        return "method '" + T[3] + "' is a dispatch target (implements "
+               "row); remove those rows first";
+  return {};
+}
+
+/// Applies `add|rm <T::Name> <columns...>` (tokens \p T) to \p DB and
+/// records it in \p D by the predicate's role.
+template <class Tr>
+std::string applyRow(const std::vector<std::string> &T, bool Add, FactDB &DB,
+                     analysis::InputDelta &D) {
+  using Fact = typename Tr::Fact;
+  const std::size_t Arity = std::size(Tr::Cols);
+  if (T.size() != Arity + 2)
+    return T[1] + " takes " + std::to_string(Arity) + " argument(s), got " +
+           std::to_string(T.size() - 2);
+  Fact F{};
+  auto Resolve = [&DB](const facts::DomainDesc &Dom, const std::string &N) {
+    return findName(DB.*Dom.Names, N);
+  };
+  if (auto E = facts::decodeRow<Tr>(&T[2], Resolve, F); !E.empty())
+    return E;
+  if (auto E = crossCheck(DB, F, Add, T); !E.empty())
+    return E;
+  auto Same = [](const Fact &A, const Fact &B) {
+    for (const auto &C : Tr::Cols)
+      if (A.*C.Member != B.*C.Member)
+        return false;
+    return true;
+  };
+  if (auto E = Add ? addRow(Tr::in(DB), F, Same, Tr::Name)
+                   : rmRow(Tr::in(DB), F, Same, Tr::Name);
+      !E.empty())
+    return E;
+  if constexpr (Tr::Role == facts::DeltaRole::Narrow)
+    D.edits<Fact>(Add).push_back(F);
+  else if constexpr (Tr::Role == facts::DeltaRole::Wide)
+    (Add ? D.WideAdd : D.WideRemove) = true;
+  else
+    D.ClientFactsChanged = true;
+  return {};
 }
 
 } // namespace
@@ -184,631 +204,31 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     return applyEntity(T, DB);
   }
 
-  auto Arity = [&T, &Pred](std::size_t N) -> std::string {
-    if (T.size() != N + 2)
-      return Pred + " takes " + std::to_string(N) + " argument(s), got " +
-             std::to_string(T.size() - 2);
-    return {};
-  };
-
   if (Pred == "entry") {
-    if (auto E = Arity(1); !E.empty())
-      return E;
+    if (T.size() != 3)
+      return "entry takes 1 argument(s), got " + std::to_string(T.size() - 2);
     Id M;
     if (auto E = resolve(DB.MethodNames, T[2], "method", M); !E.empty())
       return E;
-    auto Same = [M](Id A) { return A == M; };
-    if (Add) {
-      for (Id E : DB.EntryMethods)
-        if (Same(E))
-          return "duplicate entry row";
-      DB.EntryMethods.push_back(M);
-      D.AddEntries.push_back(M);
-    } else {
-      bool Found = false;
-      for (auto It = DB.EntryMethods.begin(); It != DB.EntryMethods.end();
-           ++It)
-        if (Same(*It)) {
-          DB.EntryMethods.erase(It);
-          Found = true;
-          break;
-        }
-      if (!Found)
-        return "no such entry row";
-      D.RmEntries.push_back(M);
-    }
-    return {};
-  }
-
-  if (Pred == "assign") {
-    if (auto E = Arity(2); !E.empty())
-      return E;
-    facts::AssignFact F;
-    if (auto E = resolve(DB.VarNames, T[2], "variable", F.From); !E.empty())
-      return E;
-    if (auto E = resolve(DB.VarNames, T[3], "variable", F.To); !E.empty())
-      return E;
-    auto Same = [](const facts::AssignFact &A, const facts::AssignFact &B) {
-      return A.From == B.From && A.To == B.To;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.Assigns, F, Same, "assign"); !E.empty())
-        return E;
-      D.AddAssigns.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Assigns, F, Same, "assign"); !E.empty())
-        return E;
-      D.RmAssigns.push_back(F);
-    }
-    return {};
-  }
-
-  if (Pred == "assign_new") {
-    if (auto E = Arity(3); !E.empty())
-      return E;
-    facts::AssignNewFact F;
-    if (auto E = resolve(DB.HeapNames, T[2], "heap site", F.Heap); !E.empty())
-      return E;
-    if (auto E = resolve(DB.VarNames, T[3], "variable", F.To); !E.empty())
-      return E;
-    if (auto E = resolve(DB.MethodNames, T[4], "method", F.InMethod);
+    auto Same = [](Id A, Id B) { return A == B; };
+    if (auto E = Add ? addRow(DB.EntryMethods, M, Same, "entry")
+                     : rmRow(DB.EntryMethods, M, Same, "entry");
         !E.empty())
       return E;
-    auto Same = [](const facts::AssignNewFact &A,
-                   const facts::AssignNewFact &B) {
-      return A.Heap == B.Heap && A.To == B.To && A.InMethod == B.InMethod;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.AssignNews, F, Same, "assign_new"); !E.empty())
-        return E;
-      D.AddAssignNews.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.AssignNews, F, Same, "assign_new"); !E.empty())
-        return E;
-      D.RmAssignNews.push_back(F);
-    }
+    (Add ? D.AddEntries : D.RmEntries).push_back(M);
     return {};
   }
 
-  if (Pred == "assign_return") {
-    if (auto E = Arity(2); !E.empty())
-      return E;
-    facts::AssignReturnFact F;
-    if (auto E = resolve(DB.InvokeNames, T[2], "invocation", F.Invoke);
-        !E.empty())
-      return E;
-    if (auto E = resolve(DB.VarNames, T[3], "variable", F.To); !E.empty())
-      return E;
-    auto Same = [](const facts::AssignReturnFact &A,
-                   const facts::AssignReturnFact &B) {
-      return A.Invoke == B.Invoke && A.To == B.To;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.AssignReturns, F, Same, "assign_return");
-          !E.empty())
-        return E;
-      D.AddAssignReturns.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.AssignReturns, F, Same, "assign_return");
-          !E.empty())
-        return E;
-      D.RmAssignReturns.push_back(F);
+  bool Known = false;
+  facts::forEachInput([&](auto Tr) {
+    if (!Known && Pred == Tr.Name) {
+      Known = true;
+      Err = applyRow<decltype(Tr)>(T, Add, DB, D);
     }
-    return {};
-  }
-
-  if (Pred == "actual") {
-    if (auto E = Arity(3); !E.empty())
-      return E;
-    facts::ActualFact F;
-    if (auto E = resolve(DB.VarNames, T[2], "variable", F.Var); !E.empty())
-      return E;
-    if (auto E = resolve(DB.InvokeNames, T[3], "invocation", F.Invoke);
-        !E.empty())
-      return E;
-    if (auto E = parseOrdinal(T[4], F.Ordinal); !E.empty())
-      return E;
-    auto Same = [](const facts::ActualFact &A, const facts::ActualFact &B) {
-      return A.Var == B.Var && A.Invoke == B.Invoke && A.Ordinal == B.Ordinal;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.Actuals, F, Same, "actual"); !E.empty())
-        return E;
-      D.AddActuals.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Actuals, F, Same, "actual"); !E.empty())
-        return E;
-      D.RmActuals.push_back(F);
-    }
-    return {};
-  }
-
-  if (Pred == "formal") {
-    if (auto E = Arity(3); !E.empty())
-      return E;
-    facts::FormalFact F;
-    if (auto E = resolve(DB.VarNames, T[2], "variable", F.Var); !E.empty())
-      return E;
-    if (auto E = resolve(DB.MethodNames, T[3], "method", F.Method);
-        !E.empty())
-      return E;
-    if (auto E = parseOrdinal(T[4], F.Ordinal); !E.empty())
-      return E;
-    auto Same = [](const facts::FormalFact &A, const facts::FormalFact &B) {
-      return A.Var == B.Var && A.Method == B.Method && A.Ordinal == B.Ordinal;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.Formals, F, Same, "formal"); !E.empty())
-        return E;
-      D.AddFormals.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Formals, F, Same, "formal"); !E.empty())
-        return E;
-      D.RmFormals.push_back(F);
-    }
-    return {};
-  }
-
-  if (Pred == "heap_type") {
-    if (auto E = Arity(2); !E.empty())
-      return E;
-    facts::HeapTypeFact F;
-    if (auto E = resolve(DB.HeapNames, T[2], "heap site", F.Heap); !E.empty())
-      return E;
-    if (auto E = resolve(DB.TypeNames, T[3], "type", F.Type); !E.empty())
-      return E;
-    auto Same = [](const facts::HeapTypeFact &A, const facts::HeapTypeFact &B) {
-      return A.Heap == B.Heap && A.Type == B.Type;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.HeapTypes, F, Same, "heap_type"); !E.empty())
-        return E;
-      D.WideAdd = true;
-    } else {
-      if (auto E = rmRow(DB.HeapTypes, F, Same, "heap_type"); !E.empty())
-        return E;
-      D.WideRemove = true;
-    }
-    return {};
-  }
-
-  if (Pred == "implements") {
-    if (auto E = Arity(3); !E.empty())
-      return E;
-    facts::ImplementsFact F;
-    if (auto E = resolve(DB.MethodNames, T[2], "method", F.Method);
-        !E.empty())
-      return E;
-    if (auto E = resolve(DB.TypeNames, T[3], "type", F.Type); !E.empty())
-      return E;
-    if (auto E = resolve(DB.SigNames, T[4], "signature", F.Sig); !E.empty())
-      return E;
-    // Virtual dispatch to a method flows the receiver into its `this`
-    // variable; a dispatch target without one would crash the solver.
-    if (Add) {
-      bool HasThis = false;
-      for (const auto &TV : DB.ThisVars)
-        if (TV.Method == F.Method)
-          HasThis = true;
-      if (!HasThis)
-        return "method '" + T[2] + "' has no this_var row (add one before "
-               "making it a dispatch target)";
-    }
-    auto Same = [](const facts::ImplementsFact &A,
-                   const facts::ImplementsFact &B) {
-      return A.Method == B.Method && A.Type == B.Type && A.Sig == B.Sig;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.Implements, F, Same, "implements"); !E.empty())
-        return E;
-      D.WideAdd = true;
-    } else {
-      if (auto E = rmRow(DB.Implements, F, Same, "implements"); !E.empty())
-        return E;
-      D.WideRemove = true;
-    }
-    return {};
-  }
-
-  if (Pred == "load") {
-    if (auto E = Arity(3); !E.empty())
-      return E;
-    facts::LoadFact F;
-    if (auto E = resolve(DB.VarNames, T[2], "variable", F.Base); !E.empty())
-      return E;
-    if (auto E = resolve(DB.FieldNames, T[3], "field", F.Field); !E.empty())
-      return E;
-    if (auto E = resolve(DB.VarNames, T[4], "variable", F.To); !E.empty())
-      return E;
-    auto Same = [](const facts::LoadFact &A, const facts::LoadFact &B) {
-      return A.Base == B.Base && A.Field == B.Field && A.To == B.To;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.Loads, F, Same, "load"); !E.empty())
-        return E;
-      D.AddLoads.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Loads, F, Same, "load"); !E.empty())
-        return E;
-      D.RmLoads.push_back(F);
-    }
-    return {};
-  }
-
-  if (Pred == "return") {
-    if (auto E = Arity(2); !E.empty())
-      return E;
-    facts::ReturnFact F;
-    if (auto E = resolve(DB.VarNames, T[2], "variable", F.Var); !E.empty())
-      return E;
-    if (auto E = resolve(DB.MethodNames, T[3], "method", F.Method);
-        !E.empty())
-      return E;
-    auto Same = [](const facts::ReturnFact &A, const facts::ReturnFact &B) {
-      return A.Var == B.Var && A.Method == B.Method;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.Returns, F, Same, "return"); !E.empty())
-        return E;
-      D.AddReturns.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Returns, F, Same, "return"); !E.empty())
-        return E;
-      D.RmReturns.push_back(F);
-    }
-    return {};
-  }
-
-  if (Pred == "static_invoke") {
-    if (auto E = Arity(3); !E.empty())
-      return E;
-    facts::StaticInvokeFact F;
-    if (auto E = resolve(DB.InvokeNames, T[2], "invocation", F.Invoke);
-        !E.empty())
-      return E;
-    if (auto E = resolve(DB.MethodNames, T[3], "method", F.Target);
-        !E.empty())
-      return E;
-    if (auto E = resolve(DB.MethodNames, T[4], "method", F.InMethod);
-        !E.empty())
-      return E;
-    auto Same = [](const facts::StaticInvokeFact &A,
-                   const facts::StaticInvokeFact &B) {
-      return A.Invoke == B.Invoke && A.Target == B.Target &&
-             A.InMethod == B.InMethod;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.StaticInvokes, F, Same, "static_invoke");
-          !E.empty())
-        return E;
-      D.AddStaticInvokes.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.StaticInvokes, F, Same, "static_invoke");
-          !E.empty())
-        return E;
-      D.RmStaticInvokes.push_back(F);
-    }
-    return {};
-  }
-
-  if (Pred == "store") {
-    if (auto E = Arity(3); !E.empty())
-      return E;
-    facts::StoreFact F;
-    if (auto E = resolve(DB.VarNames, T[2], "variable", F.From); !E.empty())
-      return E;
-    if (auto E = resolve(DB.FieldNames, T[3], "field", F.Field); !E.empty())
-      return E;
-    if (auto E = resolve(DB.VarNames, T[4], "variable", F.Base); !E.empty())
-      return E;
-    auto Same = [](const facts::StoreFact &A, const facts::StoreFact &B) {
-      return A.From == B.From && A.Field == B.Field && A.Base == B.Base;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.Stores, F, Same, "store"); !E.empty())
-        return E;
-      D.AddStores.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Stores, F, Same, "store"); !E.empty())
-        return E;
-      D.RmStores.push_back(F);
-    }
-    return {};
-  }
-
-  if (Pred == "this_var") {
-    if (auto E = Arity(2); !E.empty())
-      return E;
-    facts::ThisVarFact F;
-    if (auto E = resolve(DB.VarNames, T[2], "variable", F.Var); !E.empty())
-      return E;
-    if (auto E = resolve(DB.MethodNames, T[3], "method", F.Method);
-        !E.empty())
-      return E;
-    auto Same = [](const facts::ThisVarFact &A, const facts::ThisVarFact &B) {
-      return A.Var == B.Var && A.Method == B.Method;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.ThisVars, F, Same, "this_var"); !E.empty())
-        return E;
-      D.WideAdd = true;
-    } else {
-      // A dispatch target must keep its `this` variable (see implements).
-      for (const auto &Im : DB.Implements)
-        if (Im.Method == F.Method)
-          return "method '" + T[3] + "' is a dispatch target (implements "
-                 "row); remove those rows first";
-      if (auto E = rmRow(DB.ThisVars, F, Same, "this_var"); !E.empty())
-        return E;
-      D.WideRemove = true;
-    }
-    return {};
-  }
-
-  if (Pred == "virtual_invoke") {
-    if (auto E = Arity(3); !E.empty())
-      return E;
-    facts::VirtualInvokeFact F;
-    if (auto E = resolve(DB.InvokeNames, T[2], "invocation", F.Invoke);
-        !E.empty())
-      return E;
-    if (auto E = resolve(DB.VarNames, T[3], "variable", F.Receiver);
-        !E.empty())
-      return E;
-    if (auto E = resolve(DB.SigNames, T[4], "signature", F.Sig); !E.empty())
-      return E;
-    auto Same = [](const facts::VirtualInvokeFact &A,
-                   const facts::VirtualInvokeFact &B) {
-      return A.Invoke == B.Invoke && A.Receiver == B.Receiver &&
-             A.Sig == B.Sig;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.VirtualInvokes, F, Same, "virtual_invoke");
-          !E.empty())
-        return E;
-      D.AddVirtualInvokes.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.VirtualInvokes, F, Same, "virtual_invoke");
-          !E.empty())
-        return E;
-      D.RmVirtualInvokes.push_back(F);
-    }
-    return {};
-  }
-
-  if (Pred == "global_store") {
-    if (auto E = Arity(2); !E.empty())
-      return E;
-    facts::GlobalStoreFact F;
-    if (auto E = resolve(DB.VarNames, T[2], "variable", F.From); !E.empty())
-      return E;
-    if (auto E = resolve(DB.GlobalNames, T[3], "global", F.Global);
-        !E.empty())
-      return E;
-    auto Same = [](const facts::GlobalStoreFact &A,
-                   const facts::GlobalStoreFact &B) {
-      return A.From == B.From && A.Global == B.Global;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.GlobalStores, F, Same, "global_store");
-          !E.empty())
-        return E;
-      D.AddGlobalStores.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.GlobalStores, F, Same, "global_store");
-          !E.empty())
-        return E;
-      D.RmGlobalStores.push_back(F);
-    }
-    return {};
-  }
-
-  if (Pred == "global_load") {
-    if (auto E = Arity(3); !E.empty())
-      return E;
-    facts::GlobalLoadFact F;
-    if (auto E = resolve(DB.GlobalNames, T[2], "global", F.Global);
-        !E.empty())
-      return E;
-    if (auto E = resolve(DB.VarNames, T[3], "variable", F.To); !E.empty())
-      return E;
-    if (auto E = resolve(DB.MethodNames, T[4], "method", F.InMethod);
-        !E.empty())
-      return E;
-    auto Same = [](const facts::GlobalLoadFact &A,
-                   const facts::GlobalLoadFact &B) {
-      return A.Global == B.Global && A.To == B.To && A.InMethod == B.InMethod;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.GlobalLoads, F, Same, "global_load"); !E.empty())
-        return E;
-      D.AddGlobalLoads.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.GlobalLoads, F, Same, "global_load"); !E.empty())
-        return E;
-      D.RmGlobalLoads.push_back(F);
-    }
-    return {};
-  }
-
-  if (Pred == "throw") {
-    if (auto E = Arity(2); !E.empty())
-      return E;
-    facts::ThrowFact F;
-    if (auto E = resolve(DB.VarNames, T[2], "variable", F.Var); !E.empty())
-      return E;
-    if (auto E = resolve(DB.MethodNames, T[3], "method", F.Method);
-        !E.empty())
-      return E;
-    auto Same = [](const facts::ThrowFact &A, const facts::ThrowFact &B) {
-      return A.Var == B.Var && A.Method == B.Method;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.Throws, F, Same, "throw"); !E.empty())
-        return E;
-      D.AddThrows.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Throws, F, Same, "throw"); !E.empty())
-        return E;
-      D.RmThrows.push_back(F);
-    }
-    return {};
-  }
-
-  if (Pred == "catch") {
-    if (auto E = Arity(2); !E.empty())
-      return E;
-    facts::CatchFact F;
-    if (auto E = resolve(DB.InvokeNames, T[2], "invocation", F.Invoke);
-        !E.empty())
-      return E;
-    if (auto E = resolve(DB.VarNames, T[3], "variable", F.To); !E.empty())
-      return E;
-    auto Same = [](const facts::CatchFact &A, const facts::CatchFact &B) {
-      return A.Invoke == B.Invoke && A.To == B.To;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.Catches, F, Same, "catch"); !E.empty())
-        return E;
-      D.AddCatches.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Catches, F, Same, "catch"); !E.empty())
-        return E;
-      D.RmCatches.push_back(F);
-    }
-    return {};
-  }
-
-  if (Pred == "cast") {
-    if (auto E = Arity(3); !E.empty())
-      return E;
-    facts::CastFact F;
-    if (auto E = resolve(DB.VarNames, T[2], "variable", F.From); !E.empty())
-      return E;
-    if (auto E = resolve(DB.VarNames, T[3], "variable", F.To); !E.empty())
-      return E;
-    if (auto E = resolve(DB.TypeNames, T[4], "type", F.Type); !E.empty())
-      return E;
-    auto Same = [](const facts::CastFact &A, const facts::CastFact &B) {
-      return A.From == B.From && A.To == B.To && A.Type == B.Type;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.Casts, F, Same, "cast"); !E.empty())
-        return E;
-      D.AddCasts.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Casts, F, Same, "cast"); !E.empty())
-        return E;
-      D.RmCasts.push_back(F);
-    }
-    return {};
-  }
-
-  if (Pred == "subtype") {
-    if (auto E = Arity(2); !E.empty())
-      return E;
-    facts::SubtypeFact F;
-    if (auto E = resolve(DB.TypeNames, T[2], "type", F.Sub); !E.empty())
-      return E;
-    if (auto E = resolve(DB.TypeNames, T[3], "type", F.Super); !E.empty())
-      return E;
-    auto Same = [](const facts::SubtypeFact &A, const facts::SubtypeFact &B) {
-      return A.Sub == B.Sub && A.Super == B.Super;
-    };
-    if (Add) {
-      if (auto E = addRow(DB.Subtypes, F, Same, "subtype"); !E.empty())
-        return E;
-      D.WideAdd = true;
-    } else {
-      if (auto E = rmRow(DB.Subtypes, F, Same, "subtype"); !E.empty())
-        return E;
-      D.WideRemove = true;
-    }
-    return {};
-  }
-
-  if (Pred == "spawn") {
-    if (auto E = Arity(1); !E.empty())
-      return E;
-    facts::SpawnFact F;
-    if (auto E = resolve(DB.InvokeNames, T[2], "invocation", F.Invoke);
-        !E.empty())
-      return E;
-    auto Same = [](const facts::SpawnFact &A, const facts::SpawnFact &B) {
-      return A.Invoke == B.Invoke;
-    };
-    std::string E = Add ? addRow(DB.Spawns, F, Same, "spawn")
-                        : rmRow(DB.Spawns, F, Same, "spawn");
-    if (!E.empty())
-      return E;
-    D.ClientFactsChanged = true;
-    return {};
-  }
-
-  if (Pred == "taint_source" || Pred == "taint_sink") {
-    if (auto E = Arity(2); !E.empty())
-      return E;
-    Id IsField;
-    if (T[2] == "invoke")
-      IsField = 0;
-    else if (T[2] == "field")
-      IsField = 1;
-    else
-      return Pred + " kind must be invoke or field, got '" + T[2] + "'";
-    Id Entity;
-    if (IsField == 0) {
-      if (auto E = resolve(DB.InvokeNames, T[3], "invocation", Entity);
-          !E.empty())
-        return E;
-    } else {
-      if (auto E = resolve(DB.FieldNames, T[3], "field", Entity); !E.empty())
-        return E;
-    }
-    if (Pred == "taint_source") {
-      facts::TaintSourceFact F{IsField, Entity};
-      auto Same = [](const facts::TaintSourceFact &A,
-                     const facts::TaintSourceFact &B) {
-        return A.IsField == B.IsField && A.Entity == B.Entity;
-      };
-      std::string E = Add ? addRow(DB.TaintSources, F, Same, "taint_source")
-                          : rmRow(DB.TaintSources, F, Same, "taint_source");
-      if (!E.empty())
-        return E;
-    } else {
-      facts::TaintSinkFact F{IsField, Entity};
-      auto Same = [](const facts::TaintSinkFact &A,
-                     const facts::TaintSinkFact &B) {
-        return A.IsField == B.IsField && A.Entity == B.Entity;
-      };
-      std::string E = Add ? addRow(DB.TaintSinks, F, Same, "taint_sink")
-                          : rmRow(DB.TaintSinks, F, Same, "taint_sink");
-      if (!E.empty())
-        return E;
-    }
-    D.ClientFactsChanged = true;
-    return {};
-  }
-
-  if (Pred == "sanitizer") {
-    if (auto E = Arity(1); !E.empty())
-      return E;
-    facts::SanitizerFact F;
-    if (auto E = resolve(DB.InvokeNames, T[2], "invocation", F.Invoke);
-        !E.empty())
-      return E;
-    auto Same = [](const facts::SanitizerFact &A,
-                   const facts::SanitizerFact &B) {
-      return A.Invoke == B.Invoke;
-    };
-    std::string E = Add ? addRow(DB.Sanitizers, F, Same, "sanitizer")
-                        : rmRow(DB.Sanitizers, F, Same, "sanitizer");
-    if (!E.empty())
-      return E;
-    D.ClientFactsChanged = true;
-    return {};
-  }
-
-  return "unknown predicate '" + Pred + "'";
+  });
+  if (!Known)
+    return "unknown predicate '" + Pred + "'";
+  return Err;
 }
 
 std::string serve::applyDeltaOps(const std::vector<std::string> &Lines,

@@ -10,13 +10,15 @@
 /// operation per line, space-separated tokens, entity names resolved
 /// against the staged database (names never contain whitespace — the
 /// TSV schema forbids it). Predicate names and argument orders mirror
-/// the facts-directory TSV vocabulary (facts/TsvIO.h) exactly:
+/// the facts-directory TSV vocabulary exactly; every predicate but
+/// `entry` is a row of the schema table in facts/Schema.h, listed here in
+/// its order with its incremental role:
 ///
 ///   add|rm entry <method>
+///   add|rm actual <var> <invoke> <ordinal>
 ///   add|rm assign <from> <to>
 ///   add|rm assign_new <heap> <to> <in-method>
 ///   add|rm assign_return <invoke> <to>
-///   add|rm actual <var> <invoke> <ordinal>
 ///   add|rm formal <var> <method> <ordinal>
 ///   add|rm heap_type <heap> <type>               (wide: see below)
 ///   add|rm implements <method> <type> <sig>      (wide)
@@ -32,13 +34,16 @@
 ///   add|rm catch <invoke> <to>
 ///   add|rm cast <from> <to> <type>
 ///   add|rm subtype <sub> <super>                 (wide)
-///   add|rm spawn <invoke>
-///   add|rm taint_source invoke|field <name>
-///   add|rm taint_sink invoke|field <name>
-///   add|rm sanitizer <invoke>
+///   add|rm spawn <invoke>                        (client)
+///   add|rm taint_source invoke|field <name>      (client)
+///   add|rm taint_sink invoke|field <name>        (client)
+///   add|rm sanitizer <invoke>                    (client)
 ///   add entity var|heap|invoke <name> <parent-method>
 ///   add entity method <name> <class-type>
 ///   add entity field|type|sig|global <name>
+///
+/// An <ordinal> is one or more digits with value at most 2^32-1 (the
+/// facts-directory reader's rule too).
 ///
 /// Semantics: `add` of a row already present is an error, as is `rm` of
 /// a missing row (a delta states exact edits; silently tolerating either
@@ -46,11 +51,15 @@
 /// row in place, preserving the order of the rest — the same layout a
 /// hand edit of the TSV file would produce. Entities are append-only:
 /// ids stay stable across every transaction, so `rm entity` does not
-/// exist. Ops apply immediately to the staged FactDB and accumulate the
-/// solver-visible summary in an analysis::InputDelta; "wide" predicates
-/// (side conditions the provenance graph summarizes away) set the
-/// WideAdd/WideRemove flags that steer the incremental solver toward its
-/// conservative paths.
+/// exist. Two cross-checks keep dispatch sound: `add implements` needs a
+/// this_var row for the method, and `rm this_var` is refused while an
+/// implements row names the method. Ops apply immediately to the staged
+/// FactDB and accumulate the solver-visible summary in an
+/// analysis::InputDelta: unmarked predicates go row by row into its
+/// Add/Rm lists; "wide" predicates (side conditions the provenance graph
+/// summarizes away) set the WideAdd/WideRemove flags that steer the
+/// incremental solver toward its conservative paths; "client"
+/// annotations only set ClientFactsChanged.
 ///
 //===----------------------------------------------------------------------===//
 

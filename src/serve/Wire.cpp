@@ -7,9 +7,8 @@
 
 #include "serve/Wire.h"
 
+#include "support/Parse.h"
 #include "support/Posix.h"
-
-#include <cstdlib>
 
 using namespace ctp;
 using namespace ctp::serve;
@@ -78,21 +77,6 @@ bool serve::writeFrame(int Fd, const std::string &Payload) {
   return posix::writeFull(Fd, Buf.data(), Buf.size());
 }
 
-namespace {
-
-bool parseCountValue(const std::string &S, std::uint64_t &Out) {
-  if (S.empty() || S[0] < '0' || S[0] > '9')
-    return false;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S.c_str(), &End, 10);
-  if (End == S.c_str() || *End != '\0')
-    return false;
-  Out = V;
-  return true;
-}
-
-} // namespace
-
 std::string serve::parseRequest(const std::string &Payload, Request &Out) {
   Out = Request();
   std::vector<std::string> Fields;
@@ -122,7 +106,7 @@ std::string serve::parseRequest(const std::string &Payload, Request &Out) {
       std::string Val = F.substr(Eq + 1);
       std::uint64_t N = 0;
       if (Key == "deadline_ms" || Key == "max_steps") {
-        if (!parseCountValue(Val, N))
+        if (parseCount(Val, N) != ParseStatus::Ok)
           return "bad option value: " + Key + " wants a non-negative "
                                               "integer";
         (Key == "deadline_ms" ? Out.DeadlineMs : Out.MaxSteps) = N;
@@ -162,7 +146,7 @@ bool serve::parseResponse(const std::string &Payload, Response &Out) {
   Out.Status = Payload.substr(A + 1, B - A - 1);
   Out.Mode = Payload.substr(B + 1, C - B - 1);
   std::string Epoch = Payload.substr(C + 1, D - C - 1);
-  if (!parseCountValue(Epoch, Out.Epoch))
+  if (parseCount(Epoch, Out.Epoch) != ParseStatus::Ok)
     return false;
   Out.Body = Payload.substr(D + 1);
   return !Out.Id.empty() && !Out.Status.empty();

@@ -190,6 +190,27 @@ TEST(DeltaLanguage, OpListsStopAtTheFirstFailure) {
   EXPECT_EQ(D.AddAssigns.size(), 1u);
 }
 
+TEST(DeltaLanguage, OrdinalsSpanExactlyTheU32Range) {
+  facts::FactDB DB = baseDB();
+  analysis::InputDelta D;
+  const std::string Row =
+      "actual " + DB.VarNames[0] + " " + DB.InvokeNames[0] + " ";
+  // The same rule as the facts-directory reader: digits only, at most
+  // UINT32_MAX, leading zeros allowed.
+  EXPECT_EQ(applyDeltaOp("add " + Row + "4294967295", DB, D), "");
+  EXPECT_EQ(DB.Actuals.back().Ordinal, UINT32_MAX);
+  EXPECT_EQ(applyDeltaOp("rm " + Row + "004294967295", DB, D), "");
+  EXPECT_EQ(applyDeltaOp("add " + Row + "4294967296", DB, D),
+            "ordinal '4294967296' is out of range");
+  EXPECT_EQ(applyDeltaOp("add " + Row + "99999999999999999999999", DB, D),
+            "ordinal '99999999999999999999999' is out of range");
+  EXPECT_EQ(applyDeltaOp("add " + Row + "+1", DB, D),
+            "ordinal '+1' is not a number");
+  EXPECT_EQ(applyDeltaOp("add " + Row + "0x1", DB, D),
+            "ordinal '0x1' is not a number");
+  EXPECT_EQ(DB.fingerprint(), baseDB().fingerprint());
+}
+
 //===----------------------------------------------------------------------===//
 // Incremental re-solve vs. a cold solve of the edited facts.
 //===----------------------------------------------------------------------===//

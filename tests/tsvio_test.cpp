@@ -145,6 +145,37 @@ TEST(TsvTest, RejectListCarriesLineNumbers) {
   std::filesystem::remove_all(Dir);
 }
 
+TEST(TsvIOTest, OrdinalColumnSpansExactlyTheU32Range) {
+  facts::FactDB DB = facts::extract(workload::figure1().P);
+  ASSERT_FALSE(DB.Actuals.empty());
+  // Every ordinal the writer can produce reads back, 10 digits included.
+  DB.Actuals.front().Ordinal = UINT32_MAX;
+  std::string Dir = freshDir("ordinal");
+  ASSERT_EQ(facts::writeFactsDir(DB, Dir), "");
+  facts::FactDB Back;
+  ASSERT_EQ(facts::readFactsDir(Dir, Back), "");
+  EXPECT_EQ(Back.Actuals.front().Ordinal, UINT32_MAX);
+  EXPECT_EQ(Back.layoutHash(), DB.layoutHash());
+
+  // One past it, a sign, or a non-digit is a malformed line.
+  std::vector<std::vector<std::string>> Rows;
+  ASSERT_TRUE(readTsvFile(Dir + "/Actual.facts", Rows));
+  const std::size_t Good = Rows.size();
+  const std::vector<std::string> Row = Rows.front();
+  for (const char *Bad : {"4294967296", "+1", "1e3"}) {
+    Rows.push_back({Row[0], Row[1], Bad});
+    ASSERT_TRUE(writeTsvFile(Dir + "/Actual.facts", Rows));
+    facts::FactDB Strict;
+    std::string Err = facts::readFactsDir(Dir, Strict);
+    EXPECT_NE(Err.find("Actual.facts:" + std::to_string(Good + 1) +
+                       ": unknown entity name or malformed ordinal"),
+              std::string::npos)
+        << Err;
+    Rows.pop_back();
+  }
+  std::filesystem::remove_all(Dir);
+}
+
 TEST(TsvIOTest, UnknownNameRejected) {
   facts::FactDB DB = facts::extract(workload::figure7().P);
   std::string Dir = freshDir("bad");

@@ -56,6 +56,8 @@
 #include "support/ExitCodes.h"
 #include "support/FaultInjection.h"
 #include "support/Memory.h"
+#include "support/Parse.h"
+#include "support/Posix.h"
 #include "support/Suggest.h"
 #include "support/Supervisor.h"
 #include "workload/Presets.h"
@@ -142,21 +144,6 @@ std::terminate_handler PrevTerminate = nullptr;
   std::abort();
 }
 
-/// Parses a non-negative integer flag value; \returns false on garbage.
-bool parseCount(const char *S, std::uint64_t &Out) {
-  if (!S || !*S)
-    return false;
-  // strtoull silently wraps "-5"; digits only.
-  if (*S < '0' || *S > '9')
-    return false;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (End == S || *End != '\0')
-    return false;
-  Out = V;
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -209,7 +196,7 @@ int main(int argc, char **argv) {
       const char *V = Next();
       if (!V)
         return false;
-      if (!parseCount(V, Out)) {
+      if (parseCount(V, Out) != ParseStatus::Ok) {
         std::fprintf(stderr, "error: %s expects a non-negative integer, "
                              "got '%s'\n",
                      Arg.c_str(), V);
@@ -298,6 +285,16 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "error: --resume / --checkpoint-every require "
                          "--checkpoint-dir\n");
     return usage(argv[0]);
+  }
+
+  // Create the output directory before any work, so an unwritable --out
+  // fails in milliseconds instead of after the solve.
+  if (!OutDir.empty()) {
+    std::string Err = posix::mkdirs(OutDir);
+    if (!Err.empty()) {
+      std::fprintf(stderr, "error: %s\n", Err.c_str());
+      return ExitError;
+    }
   }
 
   facts::FactDB DB;

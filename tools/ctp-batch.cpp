@@ -57,6 +57,7 @@
 
 #include "ctx/Config.h"
 #include "support/ExitCodes.h"
+#include "support/Parse.h"
 #include "support/Suggest.h"
 #include "support/Supervisor.h"
 #include "workload/Presets.h"
@@ -91,17 +92,6 @@ int usage(const char *Prog) {
       "2 usage\n",
       Prog);
   return ExitUsage;
-}
-
-bool parseCount(const char *S, std::uint64_t &Out) {
-  if (!S || *S < '0' || *S > '9')
-    return false;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (End == S || *End != '\0')
-    return false;
-  Out = V;
-  return true;
 }
 
 std::vector<std::string> splitCsv(const std::string &S) {
@@ -164,7 +154,7 @@ int main(int argc, char **argv) {
       const char *V = Next();
       if (!V)
         return false;
-      if (!parseCount(V, Out)) {
+      if (parseCount(V, Out) != ParseStatus::Ok) {
         std::fprintf(stderr,
                      "error: %s expects a non-negative integer, got '%s'\n",
                      Arg.c_str(), V);

@@ -59,11 +59,11 @@
 #include "facts/TsvIO.h"
 #include "support/Budget.h"
 #include "support/ExitCodes.h"
+#include "support/Parse.h"
 #include "support/Suggest.h"
 #include "workload/Presets.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -97,19 +97,6 @@ int usage(const char *Prog) {
       "              4 converged with warnings (3 wins over 4)\n",
       Prog, Presets.c_str());
   return ExitUsage;
-}
-
-bool parseCount(const char *S, std::uint64_t &Out) {
-  if (!S || !*S)
-    return false;
-  if (*S < '0' || *S > '9')
-    return false;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (End == S || *End != '\0')
-    return false;
-  Out = V;
-  return true;
 }
 
 struct CheckSet {
@@ -180,7 +167,7 @@ int main(int argc, char **argv) {
       const char *V = Next();
       if (!V)
         return false;
-      if (!parseCount(V, Out)) {
+      if (parseCount(V, Out) != ParseStatus::Ok) {
         std::fprintf(stderr, "error: %s expects a non-negative integer, "
                              "got '%s'\n",
                      Arg.c_str(), V);

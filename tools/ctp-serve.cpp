@@ -54,6 +54,7 @@
 #include "support/Budget.h"
 #include "support/ExitCodes.h"
 #include "support/FaultInjection.h"
+#include "support/Parse.h"
 #include "support/Posix.h"
 #include "support/Supervisor.h"
 
@@ -88,17 +89,6 @@ int usage(const char *Prog) {
       "option list\n",
       Prog, Prog, Prog);
   return ExitUsage;
-}
-
-bool parseCount(const char *S, std::uint64_t &Out) {
-  if (!S || *S < '0' || *S > '9')
-    return false;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (End == S || *End != '\0')
-    return false;
-  Out = V;
-  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -205,9 +195,8 @@ int runClient(const std::string &SocketPath, std::uint64_t TimeoutMs,
       // Responses arrive in any order; file each under its echoed id.
       // A non-numeric id is a daemon-side parse-error reply ("-"):
       // printable, but not attributable to a slot.
-      char *End = nullptr;
-      unsigned long long Id = std::strtoull(R.Id.c_str(), &End, 10);
-      if (End == R.Id.c_str() || *End != '\0' || Id >= Responses.size())
+      std::uint64_t Id = 0;
+      if (parseCount(R.Id, Id) != ParseStatus::Ok || Id >= Responses.size())
         Extras.push_back(std::move(R));
       else
         Responses[static_cast<std::size_t>(Id)] = std::move(R);
@@ -297,7 +286,7 @@ int main(int argc, char **argv) {
       const char *V = Next();
       if (!V)
         return false;
-      if (!parseCount(V, Out)) {
+      if (parseCount(V, Out) != ParseStatus::Ok) {
         std::fprintf(stderr,
                      "error: %s expects a non-negative integer, got "
                      "'%s'\n",
