@@ -61,19 +61,14 @@ int main() {
                                 : "transformer strings");
     for (const Spec &S : Specs) {
       analysis::Results Res = analysis::solve(DB, S.Make(A));
-      auto Ci = Res.ciPts();
+      const auto &Ci = Res.ciPts();
       // Average points-to set size over variables with any pointee.
       std::size_t Vars = 0;
-      std::uint32_t Cur = UINT32_MAX;
-      for (const auto &P : Ci)
-        if (P[0] != Cur) {
-          Cur = P[0];
-          ++Vars;
-        }
+      for (std::uint32_t V = 0; V < DB.numVars(); ++V)
+        Vars += !Res.ptsOf(V).empty();
       double Avg = Vars ? static_cast<double>(Ci.size()) /
                               static_cast<double>(Vars)
                         : 0.0;
-      clients::AliasOracle Alias(Res);
       clients::DevirtSummary Devirt = clients::devirtualize(DB, Res);
       clients::SourceMap SM(DB);
       clients::Report Rep;
@@ -84,7 +79,7 @@ int main() {
         if (Fd.RuleId == "taint.flow")
           ++TaintWarns;
       std::printf("%-18s %12zu %12.2f %12zu %12zu %12zu\n", S.Label,
-                  Ci.size(), Avg, Alias.countAliasPairs(Sample),
+                  Ci.size(), Avg, clients::countAliasPairs(Res, Sample),
                   Devirt.MonomorphicSites, TaintWarns);
     }
   }

@@ -31,7 +31,7 @@ std::string fmtPts(const analysis::Results &R, const facts::FactDB &DB,
                    ir::VarId V) {
   std::string S = "{";
   bool First = true;
-  for (std::uint32_t H : R.pointsTo(V)) {
+  for (std::uint32_t H : R.ptsOf(V)) {
     S += (First ? "" : ",") + DB.HeapNames[H];
     First = false;
   }

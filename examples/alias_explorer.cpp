@@ -29,22 +29,22 @@ int main() {
               "x2 pts", "a~b alias", "z->h1");
   auto Row = [&](const ctx::Config &Cfg) {
     analysis::Results R = analysis::solve(DB, Cfg);
-    clients::AliasOracle A(R);
     auto Fmt = [&](ir::VarId V) {
       std::string S = "{";
       bool First = true;
-      for (std::uint32_t H : R.pointsTo(V)) {
+      for (std::uint32_t H : R.ptsOf(V)) {
         S += (First ? "" : ",") + DB.HeapNames[H];
         First = false;
       }
       return S + "}";
     };
     bool ZH1 = false;
-    for (std::uint32_t H : R.pointsTo(F.Z))
+    for (std::uint32_t H : R.ptsOf(F.Z))
       ZH1 |= H == F.H1;
     std::printf("%-16s %-22s %-22s %-10s %-8s\n", Cfg.name().c_str(),
                 Fmt(F.X1).c_str(), Fmt(F.X2).c_str(),
-                A.mayAlias(F.A, F.B) ? "may" : "no", ZH1 ? "yes" : "no");
+                clients::mayAlias(R, F.A, F.B) ? "may" : "no",
+                ZH1 ? "yes" : "no");
   };
 
   for (ctx::Abstraction A : {ctx::Abstraction::ContextString,

@@ -64,7 +64,7 @@ int main() {
     auto PrintPts = [&](const char *Name, VarId V) {
       std::printf("  %-4s -> {", Name);
       bool First = true;
-      for (std::uint32_t H : R.pointsTo(V)) {
+      for (std::uint32_t H : R.ptsOf(V)) {
         std::printf("%s%s", First ? "" : ", ", DB.HeapNames[H].c_str());
         First = false;
       }

@@ -35,14 +35,16 @@
 # includes crashloop.sh --delta).
 #
 # --asan runs a targeted address+undefined matrix in its own build
-# directory (build-asan): the engine-semantics core, the
+# directory (build-asan): the engine-semantics core (the cached
+# context-insensitive projections of results_test included), the
 # fixpoint-certification suite (verify_matrix_bloat included), the
 # contextless-flavour suite, the memory-governor suite, the batch
-# supervisor suite and the input-fact encoding suite (ctest -L
-# 'core|verify|flavours|memory|supervisor|schema' — the unify
-# union-find's pointer juggling, the governor's new-handler paths, crash
-# triage through sanitized children, and the schema-driven TSV reader,
-# hashes and fact-delta language included), so the
+# supervisor suite, the input-fact encoding suite and the checker suite
+# (ctest -L 'core|verify|flavours|memory|supervisor|schema|clients' —
+# the unify union-find's pointer juggling, the governor's new-handler
+# paths, crash triage through sanitized children, the schema-driven TSV
+# reader, hashes and fact-delta language, and the checkers' views into
+# their Results' projection cache included), so the
 # slow memory-error hunt concentrates on the solver paths the verifier
 # exercises hardest. Independent of the default full-asan pass, which
 # --no-sanitize turns off. Both sanitizer passes build RelWithDebInfo
@@ -67,7 +69,9 @@
 # pools share the admission queue), the incremental-transaction suite
 # (a committing writer races query readers on the shared state lock),
 # the contextless-flavour suite (the unify union-find under concurrent
-# budget polls), and one supervised chaos run through ctp-batch. TSAN
+# budget polls), the results suite (4 threads race the first use of
+# each context-insensitive projection), and one supervised chaos run
+# through ctp-batch. TSAN
 # must stay quiet throughout.
 #
 #===----------------------------------------------------------------------===#
@@ -210,9 +214,9 @@ if [[ "$TSAN" == 1 ]]; then
   cmake --build build-tsan -j"$(nproc)" \
     --target governor_test snapshot_test resume_test supervisor_test \
              serve_test verify_test incremental_test flavours_test \
-             memory_test ctp-crashkid ctp-analyze ctp-batch
+             memory_test results_test ctp-crashkid ctp-analyze ctp-batch
   ctest --test-dir build-tsan -j"$(nproc)" \
-    -R '^(governor_test|snapshot_test|resume_test|supervisor_test|serve_test|verify_test|incremental_test|flavours_test|memory_test)$' \
+    -R '^(governor_test|snapshot_test|resume_test|supervisor_test|serve_test|verify_test|incremental_test|flavours_test|memory_test|results_test)$' \
     --output-on-failure
   echo "== ThreadSanitizer supervised chaos run =="
   WORK="$(mktemp -d "${TMPDIR:-/tmp}/ctp_tsan_batch.XXXXXX")"
@@ -225,11 +229,12 @@ fi
 
 if [[ "$ASAN" == 1 ]]; then
   echo "== targeted ASan+UBSan matrix" \
-       "(ctest -L 'core|verify|flavours|memory|supervisor|schema') =="
+       "(ctest -L 'core|verify|flavours|memory|supervisor|schema|clients') =="
   cmake -B build-asan -S . "${ASAN_CMAKE_ARGS[@]}" >/dev/null
   cmake --build build-asan -j"$(nproc)"
   ctest --test-dir build-asan -j"$(nproc)" \
-    -L 'core|verify|flavours|memory|supervisor|schema' --output-on-failure
+    -L 'core|verify|flavours|memory|supervisor|schema|clients' \
+    --output-on-failure
 fi
 
 if [[ "$SANITIZE" == 1 ]]; then

@@ -12,6 +12,10 @@
 /// the context-insensitive projections used for the precision comparisons
 /// of Section 6 ("pts_ci(Y,H) <=> ∃A: pts(Y,H,A)").
 ///
+/// Each projection is built once, on first use, and lives as long as its
+/// Results. Every client reads it through the accessors and the per-id
+/// slice lookups below; none keeps a copy.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CTP_ANALYSIS_RESULTS_H
@@ -26,6 +30,8 @@
 
 #include <array>
 #include <memory>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,9 +80,10 @@ struct Stats {
 /// interned domain).
 class Results {
 public:
-  Results() = default;
-  Results(Results &&) = default;
-  Results &operator=(Results &&) = default;
+  Results();
+  ~Results();
+  Results(Results &&) noexcept;
+  Results &operator=(Results &&) noexcept;
 
   ctx::Config Config;
   std::vector<PtsFact> Pts;
@@ -98,19 +105,38 @@ public:
   /// Sets Stat's six relation counts from the relation vectors.
   void countRelations();
 
-  // --- Context-insensitive projections (sorted, deduplicated). ---
+  // --- Context-insensitive projections ---
+  //
+  // Sorted, deduplicated, and built once, on first use; concurrent first
+  // uses are safe. The relations must not change once a projection has
+  // been read (debug builds assert it).
+
+  using CiPair = std::array<std::uint32_t, 2>;
+  using CiTriple = std::array<std::uint32_t, 3>;
+  /// The second column of a run of ciPts()/ciCall() rows, ascending.
+  using CiColumn = std::ranges::elements_view<std::span<const CiPair>, 1>;
 
   /// {(Var, Heap)} with the transformation projected out.
-  std::vector<std::array<std::uint32_t, 2>> ciPts() const;
+  const std::vector<CiPair> &ciPts() const;
   /// {(Base, Field, Heap)}.
-  std::vector<std::array<std::uint32_t, 3>> ciHpts() const;
+  const std::vector<CiTriple> &ciHpts() const;
   /// {(Invoke, Method)}.
-  std::vector<std::array<std::uint32_t, 2>> ciCall() const;
+  const std::vector<CiPair> &ciCall() const;
   /// {Method}: reachable methods.
-  std::vector<std::uint32_t> ciReach() const;
+  const std::vector<std::uint32_t> &ciReach() const;
 
-  /// Sorted heap sites \p Var may point to, in any context.
-  std::vector<std::uint32_t> pointsTo(std::uint32_t Var) const;
+  // Per-leading-id slices of those rows; empty for an id past the last.
+
+  /// pts_ci(\p Var): the heaps \p Var may point to, in any context.
+  CiColumn ptsOf(std::uint32_t Var) const;
+  /// The ciHpts() rows (Base, Field, Heap) of \p Base, by (Field, Heap).
+  std::span<const CiTriple> hptsOf(std::uint32_t Base) const;
+  /// The methods \p Invoke may call, in any context.
+  CiColumn calleesOf(std::uint32_t Invoke) const;
+
+private:
+  struct CiCache;
+  std::unique_ptr<CiCache> Ci;
 };
 
 } // namespace analysis

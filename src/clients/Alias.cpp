@@ -7,42 +7,18 @@
 
 #include "clients/Alias.h"
 
-#include <algorithm>
-
 using namespace ctp;
 using namespace ctp::clients;
 
-const std::vector<std::uint32_t> AliasOracle::Empty = {};
-
-AliasOracle::AliasOracle(const analysis::Results &R) {
-  std::uint32_t MaxVar = 0;
-  for (const auto &F : R.Pts)
-    MaxVar = std::max(MaxVar, F.Var);
-  Pts.resize(R.Pts.empty() ? 0 : MaxVar + 1);
-  for (const auto &F : R.Pts)
-    Pts[F.Var].push_back(F.Heap);
-  for (auto &Set : Pts) {
-    std::sort(Set.begin(), Set.end());
-    Set.erase(std::unique(Set.begin(), Set.end()), Set.end());
-  }
-}
-
-const std::vector<std::uint32_t> &
-AliasOracle::pointsTo(std::uint32_t V) const {
-  if (V >= Pts.size())
-    return Empty;
-  return Pts[V];
-}
-
-bool AliasOracle::mayAlias(std::uint32_t V1, std::uint32_t V2) const {
-  const auto &A = pointsTo(V1);
-  const auto &B = pointsTo(V2);
+bool clients::mayAlias(const analysis::Results &R, std::uint32_t V1,
+                       std::uint32_t V2) {
+  auto A = R.ptsOf(V1), B = R.ptsOf(V2);
   // Sorted-set intersection test.
-  std::size_t I = 0, J = 0;
-  while (I < A.size() && J < B.size()) {
-    if (A[I] == B[J])
+  auto I = A.begin(), J = B.begin();
+  while (I != A.end() && J != B.end()) {
+    if (*I == *J)
       return true;
-    if (A[I] < B[J])
+    if (*I < *J)
       ++I;
     else
       ++J;
@@ -50,12 +26,12 @@ bool AliasOracle::mayAlias(std::uint32_t V1, std::uint32_t V2) const {
   return false;
 }
 
-std::size_t
-AliasOracle::countAliasPairs(const std::vector<std::uint32_t> &Vars) const {
+std::size_t clients::countAliasPairs(const analysis::Results &R,
+                                     const std::vector<std::uint32_t> &Vars) {
   std::size_t Count = 0;
   for (std::size_t I = 0; I < Vars.size(); ++I)
     for (std::size_t J = I + 1; J < Vars.size(); ++J)
-      if (mayAlias(Vars[I], Vars[J]))
+      if (mayAlias(R, Vars[I], Vars[J]))
         ++Count;
   return Count;
 }

@@ -25,25 +25,13 @@
 namespace ctp {
 namespace clients {
 
-/// Precomputed alias oracle over one analysis result.
-class AliasOracle {
-public:
-  explicit AliasOracle(const analysis::Results &R);
+/// True iff \p V1 and \p V2 may point to a common heap object.
+bool mayAlias(const analysis::Results &R, std::uint32_t V1, std::uint32_t V2);
 
-  /// True iff \p V1 and \p V2 may point to a common heap object.
-  bool mayAlias(std::uint32_t V1, std::uint32_t V2) const;
-
-  /// The points-to set (sorted heap ids) of \p V.
-  const std::vector<std::uint32_t> &pointsTo(std::uint32_t V) const;
-
-  /// Number of may-aliasing unordered pairs among \p Vars; a standard
-  /// precision metric (smaller = more precise, for a sound analysis).
-  std::size_t countAliasPairs(const std::vector<std::uint32_t> &Vars) const;
-
-private:
-  std::vector<std::vector<std::uint32_t>> Pts;
-  static const std::vector<std::uint32_t> Empty;
-};
+/// Number of may-aliasing unordered pairs among \p Vars; a standard
+/// precision metric (smaller = more precise, for a sound analysis).
+std::size_t countAliasPairs(const analysis::Results &R,
+                            const std::vector<std::uint32_t> &Vars);
 
 } // namespace clients
 } // namespace ctp

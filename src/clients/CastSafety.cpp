@@ -7,7 +7,6 @@
 
 #include "clients/CastSafety.h"
 
-#include <algorithm>
 #include <set>
 
 using namespace ctp;
@@ -26,18 +25,13 @@ CastSummary clients::checkCasts(const facts::FactDB &DB,
   for (const auto &Sub : DB.Subtypes)
     Subtype.emplace(Sub.Sub, Sub.Super);
 
-  const auto Pts = R.ciPts(); // sorted (Var, Heap)
-
   for (std::uint32_t CI = 0; CI < DB.Casts.size(); ++CI) {
     const auto &C = DB.Casts[CI];
     CastResult Res;
     Res.CastIndex = CI;
     Res.WitnessHeap = facts::InvalidId;
-    std::array<std::uint32_t, 2> Key{C.From, 0};
-    for (auto It = std::lower_bound(Pts.begin(), Pts.end(), Key);
-         It != Pts.end() && (*It)[0] == C.From; ++It) {
+    for (facts::Id H : R.ptsOf(C.From)) {
       ++Res.NumPointees;
-      facts::Id H = (*It)[1];
       facts::Id T = H < TypeOf.size() ? TypeOf[H] : facts::InvalidId;
       if (T == facts::InvalidId || !Subtype.count({T, C.Type})) {
         ++Res.NumIllTyped;

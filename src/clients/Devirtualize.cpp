@@ -7,8 +7,6 @@
 
 #include "clients/Devirtualize.h"
 
-#include <algorithm>
-#include <map>
 #include <set>
 
 using namespace ctp;
@@ -22,12 +20,10 @@ DevirtSummary clients::devirtualize(const facts::FactDB &DB,
     VirtualSites.insert(F.Invoke);
   S.VirtualSites = VirtualSites.size();
 
-  std::map<std::uint32_t, std::set<std::uint32_t>> Targets;
-  for (const auto &Edge : R.ciCall())
-    if (VirtualSites.count(Edge[0]))
-      Targets[Edge[0]].insert(Edge[1]);
-
-  for (const auto &[Invoke, Callees] : Targets) {
+  for (std::uint32_t Invoke : VirtualSites) {
+    auto Callees = R.calleesOf(Invoke);
+    if (Callees.empty())
+      continue;
     CallSiteTargets CS;
     CS.Invoke = Invoke;
     CS.Targets.assign(Callees.begin(), Callees.end());

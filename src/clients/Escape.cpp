@@ -7,7 +7,6 @@
 
 #include "clients/Escape.h"
 
-#include <algorithm>
 #include <deque>
 #include <set>
 
@@ -39,18 +38,8 @@ EscapeInfo clients::computeEscape(const facts::FactDB &DB,
   Info.HasSpawns = !DB.Spawns.empty();
 
   // Context-insensitive inputs only (the monotonicity argument rests on
-  // this): ciPts for variable contents, ciHpts for the heap graph, Gpts
+  // this): pts_ci for variable contents, hpts_ci for the heap graph, Gpts
   // for statics.
-  const auto Pts = R.ciPts();   // sorted (Var, Heap)
-  const auto Hpts = R.ciHpts(); // sorted (Base, Field, Heap)
-
-  auto PointsTo = [&Pts](facts::Id Var, auto &&Fn) {
-    std::array<std::uint32_t, 2> Key{Var, 0};
-    for (auto It = std::lower_bound(Pts.begin(), Pts.end(), Key);
-         It != Pts.end() && (*It)[0] == Var; ++It)
-      Fn((*It)[1]);
-  };
-
   std::deque<facts::Id> Work;
 
   // Seed 1: statics. Everything a global points to escapes globally.
@@ -64,10 +53,9 @@ EscapeInfo clients::computeEscape(const facts::FactDB &DB,
   // pts_ci(Z, H) and parent(H) == P means P hands its own allocation
   // upward.
   for (const auto &F : DB.Returns)
-    PointsTo(F.Var, [&](facts::Id H) {
+    for (facts::Id H : R.ptsOf(F.Var))
       if (H < DB.HeapParent.size() && DB.HeapParent[H] == F.Method)
         mark(Info.Mask, Work, H, ReturnEscape);
-    });
 
   // Seed 3: thread boundaries. Objects passed as actuals of a spawn — or
   // serving as its receiver, i.e. the worker object itself — cross onto
@@ -78,12 +66,12 @@ EscapeInfo clients::computeEscape(const facts::FactDB &DB,
   if (!SpawnInvokes.empty()) {
     for (const auto &A : DB.Actuals)
       if (SpawnInvokes.count(A.Invoke))
-        PointsTo(A.Var,
-                 [&](facts::Id H) { mark(Info.Mask, Work, H, ThreadEscape); });
+        for (facts::Id H : R.ptsOf(A.Var))
+          mark(Info.Mask, Work, H, ThreadEscape);
     for (const auto &V : DB.VirtualInvokes)
       if (SpawnInvokes.count(V.Invoke))
-        PointsTo(V.Receiver,
-                 [&](facts::Id H) { mark(Info.Mask, Work, H, ThreadEscape); });
+        for (facts::Id H : R.ptsOf(V.Receiver))
+          mark(Info.Mask, Work, H, ThreadEscape);
   }
 
   // Closure over the heap graph: whatever an escaping object's fields
@@ -92,10 +80,8 @@ EscapeInfo clients::computeEscape(const facts::FactDB &DB,
     facts::Id H = Work.front();
     Work.pop_front();
     std::uint8_t Bits = Info.Mask[H];
-    std::array<std::uint32_t, 3> Key{H, 0, 0};
-    for (auto It = std::lower_bound(Hpts.begin(), Hpts.end(), Key);
-         It != Hpts.end() && (*It)[0] == H; ++It)
-      mark(Info.Mask, Work, (*It)[2], Bits);
+    for (const auto &Row : R.hptsOf(H))
+      mark(Info.Mask, Work, Row[2], Bits);
   }
 
   // Thread-shared: thread-escaping heaps always; global-escaping heaps

@@ -50,7 +50,7 @@ RaceSummary clients::findRaceCandidates(const facts::FactDB &DB,
   std::set<facts::Id> SpawnInvokes;
   for (const auto &Sp : DB.Spawns)
     SpawnInvokes.insert(Sp.Invoke);
-  const auto Call = R.ciCall(); // sorted (Invoke, Method)
+  const auto &Call = R.ciCall(); // sorted (Invoke, Method)
   std::set<facts::Id> Concurrent;
   std::deque<facts::Id> Work;
   for (const auto &Edge : Call)
@@ -82,13 +82,10 @@ RaceSummary clients::findRaceCandidates(const facts::FactDB &DB,
   // 4. Bucket accesses by (field, shared heap) through pts_ci of the
   // base variable. Variables of unreachable methods have empty pts, so
   // dead accesses drop out without an explicit reach check.
-  const auto Pts = R.ciPts(); // sorted (Var, Heap)
   auto ForEachSharedHeap = [&](facts::Id Base, auto &&Fn) {
-    std::array<std::uint32_t, 2> Key{Base, 0};
-    for (auto It = std::lower_bound(Pts.begin(), Pts.end(), Key);
-         It != Pts.end() && (*It)[0] == Base; ++It)
-      if ((*It)[1] < Esc.ThreadShared.size() && Esc.ThreadShared[(*It)[1]])
-        Fn((*It)[1]);
+    for (facts::Id H : R.ptsOf(Base))
+      if (H < Esc.ThreadShared.size() && Esc.ThreadShared[H])
+        Fn(H);
   };
 
   std::map<std::pair<facts::Id, facts::Id>, std::vector<Access>> Buckets;

@@ -22,26 +22,9 @@ using namespace ctp::clients;
 
 namespace {
 
-using Pts2 = std::vector<std::array<std::uint32_t, 2>>;
-using Hpts3 = std::vector<std::array<std::uint32_t, 3>>;
-
-/// Calls \p Fn for every heap in pts_ci(\p Var), ascending.
-template <typename FnT>
-void forEachPts(const Pts2 &Pts, facts::Id Var, FnT &&Fn) {
-  std::array<std::uint32_t, 2> Key{Var, 0};
-  for (auto It = std::lower_bound(Pts.begin(), Pts.end(), Key);
-       It != Pts.end() && (*It)[0] == Var; ++It)
-    Fn((*It)[1]);
-}
-
-bool varHolds(const Pts2 &Pts, facts::Id Var, facts::Id H) {
-  return std::binary_search(Pts.begin(), Pts.end(),
-                            std::array<std::uint32_t, 2>{Var, H});
-}
-
-bool chanHolds(const Hpts3 &Hpts, facts::Id B, facts::Id F, facts::Id H) {
-  return std::binary_search(Hpts.begin(), Hpts.end(),
-                            std::array<std::uint32_t, 3>{B, F, H});
+/// True iff pts_ci(\p Var) holds \p H.
+bool varHolds(const analysis::Results &R, facts::Id Var, facts::Id H) {
+  return std::ranges::binary_search(R.ptsOf(Var), H);
 }
 
 //===----------------------------------------------------------------------===//
@@ -79,8 +62,7 @@ struct Edge {
 /// function of the fact base and the ci projections.
 struct FlowGraph {
   const facts::FactDB &DB;
-  const Pts2 &Pts;
-  const Hpts3 &Hpts;
+  const analysis::Results &R;
   std::vector<std::array<std::uint32_t, 2>> Glob; ///< sorted (Global, Heap)
   std::vector<std::pair<facts::Id, facts::Id>> Chans; ///< sorted (B, F)
   std::size_t NV, NC;
@@ -104,10 +86,11 @@ struct FlowGraph {
 
   bool holds(std::uint32_t Node, facts::Id H) const {
     if (Node < NV)
-      return varHolds(Pts, Node, H);
+      return varHolds(R, Node, H);
     if (Node < NV + NC) {
       const auto &[B, F] = Chans[Node - NV];
-      return chanHolds(Hpts, B, F, H);
+      return std::ranges::binary_search(R.hptsOf(B),
+                                        analysis::Results::CiTriple{B, F, H});
     }
     return std::binary_search(
         Glob.begin(), Glob.end(),
@@ -115,30 +98,20 @@ struct FlowGraph {
             static_cast<std::uint32_t>(Node - NV - NC), H});
   }
 
-  FlowGraph(const facts::FactDB &DB, const analysis::Results &R,
-            const Pts2 &Pts, const Hpts3 &Hpts)
-      : DB(DB), Pts(Pts), Hpts(Hpts) {
+  FlowGraph(const facts::FactDB &DB, const analysis::Results &R)
+      : DB(DB), R(R) {
     for (const auto &G : R.Gpts)
       Glob.push_back({G.Global, G.Heap});
     std::sort(Glob.begin(), Glob.end());
     Glob.erase(std::unique(Glob.begin(), Glob.end()), Glob.end());
 
-    for (const auto &T : Hpts)
+    for (const auto &T : R.ciHpts()) // sorted, so Chans is too
       Chans.emplace_back(T[0], T[1]);
-    std::sort(Chans.begin(), Chans.end());
     Chans.erase(std::unique(Chans.begin(), Chans.end()), Chans.end());
 
     NV = DB.numVars();
     NC = Chans.size();
     Adj.resize(NV + NC + DB.numGlobals());
-
-    const auto Call = R.ciCall(); // sorted (Invoke, Method)
-    auto ForEachCallee = [&Call](facts::Id I, auto &&Fn) {
-      std::array<std::uint32_t, 2> Key{I, 0};
-      for (auto It = std::lower_bound(Call.begin(), Call.end(), Key);
-           It != Call.end() && (*It)[0] == I; ++It)
-        Fn((*It)[1]);
-    };
 
     // Per-method member indexes, in fact order within each method.
     std::vector<std::vector<facts::Id>> FormalsOf(DB.numMethods()),
@@ -164,34 +137,30 @@ struct FlowGraph {
       Adj[F.From].push_back(
           {varNode(F.To), EK::Cast, DB.VarParent[F.To], F.Type});
     for (const auto &F : DB.Stores)
-      forEachPts(Pts, F.Base, [&](facts::Id HB) {
+      for (facts::Id HB : R.ptsOf(F.Base))
         if (auto C = chanNode(HB, F.Field))
           Adj[F.From].push_back(
               {*C, EK::Store, DB.VarParent[F.Base], F.Field, HB});
-      });
     for (const auto &F : DB.Loads)
-      forEachPts(Pts, F.Base, [&](facts::Id HB) {
+      for (facts::Id HB : R.ptsOf(F.Base))
         if (auto C = chanNode(HB, F.Field))
           Adj[*C].push_back(
               {varNode(F.To), EK::Load, DB.VarParent[F.To], F.Field, HB});
-      });
     for (const auto &F : DB.Actuals)
-      ForEachCallee(F.Invoke, [&](facts::Id Q) {
+      for (facts::Id Q : R.calleesOf(F.Invoke)) {
         const auto &Slots = FormalsOf[Q];
         if (F.Ordinal < Slots.size() && Slots[F.Ordinal] != facts::InvalidId)
           Adj[F.Var].push_back({varNode(Slots[F.Ordinal]), EK::Param,
                                 F.Invoke, F.Ordinal, Q});
-      });
+      }
     for (const auto &F : DB.AssignReturns)
-      ForEachCallee(F.Invoke, [&](facts::Id Q) {
+      for (facts::Id Q : R.calleesOf(F.Invoke))
         for (facts::Id RV : ReturnsOf[Q])
           Adj[RV].push_back({varNode(F.To), EK::Ret, F.Invoke, Q});
-      });
     for (const auto &F : DB.Catches)
-      ForEachCallee(F.Invoke, [&](facts::Id Q) {
+      for (facts::Id Q : R.calleesOf(F.Invoke))
         for (facts::Id TV : ThrowsOf[Q])
           Adj[TV].push_back({varNode(F.To), EK::Catch, F.Invoke, Q});
-      });
     for (const auto &F : DB.GlobalStores)
       Adj[F.From].push_back(
           {globNode(F.Global), EK::GStore, DB.VarParent[F.From], F.Global});
@@ -199,11 +168,10 @@ struct FlowGraph {
       Adj[globNode(F.Global)].push_back(
           {varNode(F.To), EK::GLoad, F.InMethod, F.Global});
     for (const auto &F : DB.VirtualInvokes)
-      ForEachCallee(F.Invoke, [&](facts::Id Q) {
+      for (facts::Id Q : R.calleesOf(F.Invoke))
         if (ThisOf[Q] != facts::InvalidId)
           Adj[F.Receiver].push_back(
               {varNode(ThisOf[Q]), EK::This, F.Invoke, Q});
-      });
   }
 
   WitnessStep stepFor(const Edge &E, const SourceMap &SM) const {
@@ -321,9 +289,6 @@ TaintInfo clients::computeTaint(const facts::FactDB &DB,
   if (!Info.HasAnnotations)
     return Info;
 
-  const auto Pts = R.ciPts();
-  const auto Hpts = R.ciHpts();
-
   std::vector<facts::Id> ResultOf(DB.numInvokes(), facts::InvalidId);
   for (const auto &F : DB.AssignReturns)
     ResultOf[F.Invoke] = F.To;
@@ -339,30 +304,30 @@ TaintInfo clients::computeTaint(const facts::FactDB &DB,
   for (const auto &S : DB.TaintSources) {
     if (S.IsField == 0) {
       if (facts::Id RV = ResultOf[S.Entity]; RV != facts::InvalidId)
-        forEachPts(Pts, RV, Mark);
+        for (facts::Id H : R.ptsOf(RV))
+          Mark(H);
     } else {
       // Everything any object's source field holds is tainted.
-      for (const auto &T : Hpts)
+      for (const auto &T : R.ciHpts())
         if (T[1] == S.Entity)
           Mark(T[2]);
     }
   }
 
   // Field closure: the contents of a tainted object are tainted (matches
-  // the escape checker's treatment; ciHpts is monotone in precision, so
+  // the escape checker's treatment; hpts_ci is monotone in precision, so
   // the closure is too).
   while (!Work.empty()) {
     facts::Id H = Work.front();
     Work.pop_front();
-    std::array<std::uint32_t, 3> Key{H, 0, 0};
-    for (auto It = std::lower_bound(Hpts.begin(), Hpts.end(), Key);
-         It != Hpts.end() && (*It)[0] == H; ++It)
-      Mark((*It)[2]);
+    for (const auto &Row : R.hptsOf(H))
+      Mark(Row[2]);
   }
 
   for (const auto &S : DB.Sanitizers)
     if (facts::Id RV = ResultOf[S.Invoke]; RV != facts::InvalidId)
-      forEachPts(Pts, RV, [&](facts::Id H) { Info.Sanitized[H] = 1; });
+      for (facts::Id H : R.ptsOf(RV))
+        Info.Sanitized[H] = 1;
   return Info;
 }
 
@@ -419,9 +384,6 @@ void clients::checkTaint(const facts::FactDB &DB, const analysis::Results &R,
     return;
   TaintInfo Info = computeTaint(DB, R);
 
-  const auto Pts = R.ciPts();
-  const auto Hpts = R.ciHpts();
-
   std::vector<facts::Id> ResultOf(DB.numInvokes(), facts::InvalidId);
   for (const auto &F : DB.AssignReturns)
     ResultOf[F.Invoke] = F.To;
@@ -433,7 +395,7 @@ void clients::checkTaint(const facts::FactDB &DB, const analysis::Results &R,
   std::unique_ptr<FlowGraph> G;
   CsIndex Cs;
   if (AnyHot && !DB.TaintSinks.empty()) {
-    G = std::make_unique<FlowGraph>(DB, R, Pts, Hpts);
+    G = std::make_unique<FlowGraph>(DB, R);
     Cs = buildCsIndex(R);
   }
 
@@ -451,7 +413,7 @@ void clients::checkTaint(const facts::FactDB &DB, const analysis::Results &R,
     for (const auto &S : DB.TaintSources) {
       if (S.IsField == 0) {
         facts::Id RV = ResultOf[S.Entity];
-        if (RV != facts::InvalidId && varHolds(Pts, RV, H))
+        if (RV != facts::InvalidId && varHolds(R, RV, H))
           Starts.push_back(
               {G->varNode(RV),
                {SM.invoke(S.Entity),
@@ -460,7 +422,7 @@ void clients::checkTaint(const facts::FactDB &DB, const analysis::Results &R,
                         minCtxStr(Cs, R, RV, H))},
                RV});
       } else {
-        for (const auto &T : Hpts)
+        for (const auto &T : R.ciHpts())
           if (T[1] == S.Entity && T[2] == H) {
             WitnessStep Intro{SM.heap(T[0]),
                               "tainted content of source field '" +
@@ -469,8 +431,8 @@ void clients::checkTaint(const facts::FactDB &DB, const analysis::Results &R,
             facts::Id SrcVar = facts::InvalidId;
             // Prefer anchoring at the store statement that put H there.
             for (const auto &St : DB.Stores)
-              if (St.Field == S.Entity && varHolds(Pts, St.From, H) &&
-                  varHolds(Pts, St.Base, T[0])) {
+              if (St.Field == S.Entity && varHolds(R, St.From, H) &&
+                  varHolds(R, St.Base, T[0])) {
                 Intro = {SM.method(DB.VarParent[St.From]),
                          "tainted by store into source field '" +
                              DB.FieldNames[S.Entity] + "' of object '" +
@@ -540,9 +502,9 @@ void clients::checkTaint(const facts::FactDB &DB, const analysis::Results &R,
       for (const auto &A : DB.Actuals) {
         if (A.Invoke != I)
           continue;
-        forEachPts(Pts, A.Var, [&](facts::Id H) {
+        for (facts::Id H : R.ptsOf(A.Var)) {
           if (!Info.isHot(H))
-            return;
+            continue;
           Emit(DB.InvokeNames[I] + "<-" + DB.HeapNames[H], H, SM.invoke(I),
                "tainted object '" + DB.HeapNames[H] +
                    "' reaches sink call '" + DB.InvokeNames[I] + "'",
@@ -550,16 +512,16 @@ void clients::checkTaint(const facts::FactDB &DB, const analysis::Results &R,
                {SM.invoke(I),
                 withCtx("reaches sink call '" + DB.InvokeNames[I] + "'",
                         minCtxStr(Cs, R, A.Var, H))});
-        });
+        }
       }
     } else {
       const facts::Id F = Snk.Entity;
       for (const auto &St : DB.Stores) {
         if (St.Field != F)
           continue;
-        forEachPts(Pts, St.From, [&](facts::Id H) {
+        for (facts::Id H : R.ptsOf(St.From)) {
           if (!Info.isHot(H))
-            return;
+            continue;
           Location Loc = SM.method(DB.VarParent[St.Base]);
           Emit(DB.FieldNames[F] + "<-" + DB.HeapNames[H], H, Loc,
                "tainted object '" + DB.HeapNames[H] +
@@ -568,7 +530,7 @@ void clients::checkTaint(const facts::FactDB &DB, const analysis::Results &R,
                {Loc, withCtx("stored into sink field '" + DB.FieldNames[F] +
                                  "'",
                              minCtxStr(Cs, R, St.From, H))});
-        });
+        }
       }
     }
   }
@@ -581,7 +543,8 @@ void clients::checkTaint(const facts::FactDB &DB, const analysis::Results &R,
     if (S.IsField == 0) {
       facts::Id RV = ResultOf[S.Entity];
       if (RV != facts::InvalidId)
-        forEachPts(Pts, RV, [&](facts::Id H) { Live |= Sunk.count(H) > 0; });
+        for (facts::Id H : R.ptsOf(RV))
+          Live |= Sunk.count(H) > 0;
       if (!Live)
         Out.add("taint.dead-source", Severity::Note, SM.invoke(S.Entity),
                 "source call '" + DB.InvokeNames[S.Entity] +
@@ -594,7 +557,7 @@ void clients::checkTaint(const facts::FactDB &DB, const analysis::Results &R,
           Loc = SM.method(DB.VarParent[St.Base]);
           break;
         }
-      for (const auto &T : Hpts)
+      for (const auto &T : R.ciHpts())
         if (T[1] == S.Entity && Sunk.count(T[2]))
           Live = true;
       if (!Live)

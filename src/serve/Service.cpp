@@ -230,7 +230,6 @@ std::string Service::init() {
                     Probe.Status == analysis::ResumeStatus::Resumed &&
                     R.Stat.Progress.Derivations == Probe.Snap.Derivations;
         Hot.reset(new analysis::Results(std::move(R)));
-        Oracle.reset(new clients::AliasOracle(*Hot));
         Taint.reset(new clients::TaintInfo(clients::computeTaint(DB, *Hot)));
         ServingCfg = Ladder[Rung];
         ServingRung = Rung;
@@ -270,7 +269,6 @@ std::string Service::init() {
              "from base facts");
         std::rename(JournalFile.c_str(), (JournalFile + ".stale").c_str());
         Hot.reset();
-        Oracle.reset();
         Taint.reset();
         WarmStart = false;
         continue;
@@ -315,8 +313,8 @@ namespace {
 /// Renders a sorted heap-id set as the response body: space-joined
 /// names, "-" when empty. Deterministic given the fact base, which is
 /// what makes responses byte-identical across daemon lives.
-std::string heapSetBody(const facts::FactDB &DB,
-                        const std::vector<std::uint32_t> &Heaps) {
+template <typename HeapsT>
+std::string heapSetBody(const facts::FactDB &DB, const HeapsT &Heaps) {
   if (Heaps.empty())
     return "-";
   std::string Body;
@@ -370,7 +368,7 @@ Response Service::answerPts(const Request &Q) {
   }
   RequestMeter RM(Q);
   if (Hot) {
-    const std::vector<std::uint32_t> &Heaps = Oracle->pointsTo(V);
+    auto Heaps = Hot->ptsOf(V);
     // Charge per element so max_steps=1 deterministically exercises the
     // degradation path even on a hot answer.
     bool TrippedMidAnswer = false;
@@ -420,15 +418,15 @@ Response Service::answerAlias(const Request &Q) {
   if (Hot) {
     // Charge the smaller side's cardinality: mayAlias is an intersection
     // walk over two sorted sets.
-    const std::size_t Cost = std::min(Oracle->pointsTo(V1).size(),
-                                      Oracle->pointsTo(V2).size());
+    const std::size_t Cost =
+        std::min(Hot->ptsOf(V1).size(), Hot->ptsOf(V2).size());
     bool Tripped = false;
     for (std::size_t I = 0; I < Cost && !Tripped; ++I)
       Tripped = RM.step();
     if (!Tripped) {
       R.Status = Mode == ServeMode::Hot ? StatusOk : StatusDegraded;
       R.Mode = ModeTag;
-      R.Body = Oracle->mayAlias(V1, V2) ? "true" : "false";
+      R.Body = clients::mayAlias(*Hot, V1, V2) ? "true" : "false";
       return R;
     }
   }
@@ -616,12 +614,11 @@ Response Service::commitTxn(const Request &Q) {
   fault::txnCrashPoint("commit");
 
   // Publish. Move-assigning DB in place keeps the references the demand
-  // engine and oracles hold valid while they are themselves replaced.
+  // engine and taint summary hold valid while they are themselves replaced.
   {
     std::unique_lock<std::shared_mutex> Lock(StateLock);
     DB = std::move(*Txn->Staged);
     Hot.reset(new analysis::Results(std::move(Out.R)));
-    Oracle.reset(new clients::AliasOracle(*Hot));
     Taint.reset(new clients::TaintInfo(clients::computeTaint(DB, *Hot)));
     Demand.reset(new cfl::DemandSolver(DB));
     Epoch.store(NewEpoch, std::memory_order_relaxed);
@@ -873,15 +870,14 @@ void Service::relieveMemoryPressure() {
   std::lock_guard<std::mutex> TLock(TxnMutex);
   MemDegrades.fetch_add(1, std::memory_order_relaxed);
 
-  // Drop the big owners first — the resident result, the alias oracle,
-  // the taint summary — and serve demand-driven while anything below
-  // runs: CFL answers stay sound, so degradation never trades
-  // correctness for footprint.
+  // Drop the big owners first — the resident result with its
+  // projections, the taint summary — and serve demand-driven while
+  // anything below runs: CFL answers stay sound, so degradation never
+  // trades correctness for footprint.
   const std::size_t From = ServingRung + 1;
   {
     std::unique_lock<std::shared_mutex> Lock(StateLock);
     Hot.reset();
-    Oracle.reset();
     Taint.reset();
     Mode = ServeMode::CflOnly;
     ModeTag = "cfl";
@@ -920,7 +916,6 @@ void Service::relieveMemoryPressure() {
       Mode = ServeMode::HotRung;
       ModeTag = "hot-rung" + std::to_string(Rung);
       Hot.reset(new analysis::Results(std::move(R)));
-      Oracle.reset(new clients::AliasOracle(*Hot));
       Taint.reset(new clients::TaintInfo(clients::computeTaint(DB, *Hot)));
       ServingCfg = Ladder[Rung];
       ServingRung = Rung;

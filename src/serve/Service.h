@@ -47,11 +47,11 @@
 /// CTP_MEM_FAULT drill), the accept loop polls the process memory
 /// governor (support/Memory.h) every tick and stages its response to
 /// pressure. A sustained soft-watermark streak drops the resident
-/// result, oracle, and taint caches — the big owners — and re-solves a
-/// cheaper ladder rung, answering demand-driven (sound) in the interim;
-/// hard pressure or a ladder that is already at the bottom falls
-/// straight to CflOnly and re-floors the watermarks over the shrunken
-/// footprint. While pressure reads Hard, readers shed new admissions
+/// result (with its projections) and the taint cache — the big owners —
+/// and re-solves a cheaper ladder rung, answering demand-driven (sound)
+/// in the interim; hard pressure or a ladder that is already at the
+/// bottom falls straight to CflOnly and re-floors the watermarks over the
+/// shrunken footprint. While pressure reads Hard, readers shed new admissions
 /// with OVERLOADED rather than queueing work the process has no room
 /// to answer. The daemon thus degrades in place instead of being
 /// SIGKILLed by the kernel or SIGABRTed by a failed allocation — zero
@@ -65,7 +65,7 @@
 /// provenance graph permits, cold otherwise — certifies the result with
 /// the verify closure and support checks, promotes a new warm-start
 /// snapshot, appends the durable commit record, and only then swaps the
-/// served state (facts, results, oracles, demand engine) under a writer
+/// served state (facts, results, taint summary, demand engine) under a writer
 /// lock, bumping the epoch every response carries. Any failure along the
 /// way aborts: the journal records it, the staged state is dropped, and
 /// answers remain byte-identical to the previous epoch. On startup the
@@ -212,8 +212,9 @@ private:
   bool WarmStart = false;
 
   /// Converged exhaustive results and clients; null in CflOnly mode.
+  /// Readers share Hot's context-insensitive projections, built on first
+  /// use.
   std::unique_ptr<analysis::Results> Hot;
-  std::unique_ptr<clients::AliasOracle> Oracle;
   std::unique_ptr<clients::TaintInfo> Taint;
   /// Demand-driven engine; always built (per-query degradation target).
   std::unique_ptr<cfl::DemandSolver> Demand;

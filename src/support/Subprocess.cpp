@@ -54,34 +54,6 @@ Child::~Child() {
   closeErrFd();
 }
 
-Child::Child(Child &&O) noexcept
-    : Pid(O.Pid), ErrFd(O.ErrFd), Reaped(O.Reaped), Status(O.Status),
-      Tail(std::move(O.Tail)), TailCap(O.TailCap),
-      StderrPath(std::move(O.StderrPath)) {
-  O.Pid = -1;
-  O.ErrFd = -1;
-}
-
-Child &Child::operator=(Child &&O) noexcept {
-  if (this != &O) {
-    if (spawned() && !Reaped) {
-      ::kill(Pid, SIGKILL);
-      wait();
-    }
-    closeErrFd();
-    Pid = O.Pid;
-    ErrFd = O.ErrFd;
-    Reaped = O.Reaped;
-    Status = O.Status;
-    Tail = std::move(O.Tail);
-    TailCap = O.TailCap;
-    StderrPath = std::move(O.StderrPath);
-    O.Pid = -1;
-    O.ErrFd = -1;
-  }
-  return *this;
-}
-
 void Child::closeErrFd() {
   if (ErrFd >= 0) {
     posix::closeQuiet(ErrFd);

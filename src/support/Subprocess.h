@@ -61,16 +61,15 @@ struct ExitStatus {
   int Signal = 0; ///< Fatal signal number when Signalled.
 };
 
-/// One spawned child. Move-only; the destructor SIGKILLs and reaps a
-/// child that is still running so a supervisor bug cannot leak orphans.
+/// One spawned child. Neither copyable nor movable; the destructor
+/// SIGKILLs and reaps a child that is still running so a supervisor bug
+/// cannot leak orphans.
 class Child {
 public:
   Child() = default;
   ~Child();
-  Child(Child &&O) noexcept;
-  Child &operator=(Child &&O) noexcept;
-  Child(const Child &) = delete;
-  Child &operator=(const Child &) = delete;
+  Child(Child &&) = delete;
+  Child &operator=(Child &&) = delete;
 
   /// Forks and execs \p Spec. \returns an empty string on success, else
   /// a diagnostic (a child-side exec failure is NOT reported here — it

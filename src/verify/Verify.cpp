@@ -76,12 +76,13 @@ std::string renderCiPair(const char *Rel,
 }
 
 /// First element of sorted \p A absent from sorted \p B, or nullptr.
-template <typename T>
-const T *firstNotIn(const std::vector<T> &A, const std::vector<T> &B) {
-  auto It = B.begin();
-  for (const T &X : A) {
-    It = std::lower_bound(It, B.end(), X);
-    if (It == B.end() || *It != X)
+template <typename RangeA, typename RangeB>
+const std::ranges::range_value_t<RangeA> *firstNotIn(const RangeA &A,
+                                                     const RangeB &B) {
+  auto It = std::ranges::begin(B);
+  for (const auto &X : A) {
+    It = std::ranges::lower_bound(It, std::ranges::end(B), X);
+    if (It == std::ranges::end(B) || *It != X)
       return &X;
   }
   return nullptr;
@@ -308,7 +309,7 @@ bool verify::verifyFactDB(const FactDB &DB, const std::string &CellPrefix,
           if (A.BudgetExceeded)
             continue;
           ++Checked;
-          if (const auto *Hp = firstNotIn(A.Heaps, R.pointsTo(V))) {
+          if (const auto *Hp = firstNotIn(A.Heaps, R.ptsOf(V))) {
             Ok = false;
             CE = "demand query on " +
                  entityName(DB.VarNames, V, "var") + " derives pointee " +
@@ -351,7 +352,7 @@ bool verify::verifyFactDB(const FactDB &DB, const std::string &CellPrefix,
         if (A.BudgetExceeded)
           continue; // An exhausted query proves nothing either way.
         ++Checked;
-        if (const auto *Hp = firstNotIn(R.pointsTo(V), A.Heaps)) {
+        if (const auto *Hp = firstNotIn(R.ptsOf(V), A.Heaps)) {
           Ok = false;
           CE = "demand query on " + entityName(DB.VarNames, V, "var") +
                " refutes pointee " +

@@ -16,6 +16,7 @@
 #include "facts/Extract.h"
 #include "ir/Builder.h"
 
+#include "PtsVec.h"
 #include "gtest/gtest.h"
 
 using namespace ctp;
@@ -60,9 +61,9 @@ TEST(CastTest, FiltersByRuntimeType) {
        {Abstraction::ContextString, Abstraction::TransformerString}) {
     for (auto Mk : {ctx::insensitive, ctx::oneCall, ctx::twoObjectH}) {
       analysis::Results R = analysis::solve(DB, Mk(A));
-      EXPECT_EQ(R.pointsTo(F.X), (U32s{F.HDog, F.HCat}));
-      EXPECT_EQ(R.pointsTo(F.D), (U32s{F.HDog})); // Cat filtered out.
-      EXPECT_EQ(R.pointsTo(F.A), (U32s{F.HDog, F.HCat}));
+      EXPECT_EQ(test::ptsVec(R, F.X), (U32s{F.HDog, F.HCat}));
+      EXPECT_EQ(test::ptsVec(R, F.D), (U32s{F.HDog})); // Cat filtered out.
+      EXPECT_EQ(test::ptsVec(R, F.A), (U32s{F.HDog, F.HCat}));
     }
   }
 }
@@ -120,7 +121,7 @@ TEST(ArrayTest, ElementsMergeAcrossIndices) {
 
   analysis::Results R =
       analysis::solve(DB, ctx::twoObjectH(Abstraction::TransformerString));
-  EXPECT_EQ(R.pointsTo(W), (U32s{HA, HB}));
+  EXPECT_EQ(test::ptsVec(R, W), (U32s{HA, HB}));
 }
 
 TEST(ArrayTest, DistinctArraysStaySeparate) {
@@ -143,7 +144,7 @@ TEST(ArrayTest, DistinctArraysStaySeparate) {
   facts::FactDB DB = facts::extract(B.take());
   analysis::Results R =
       analysis::solve(DB, ctx::oneObject(Abstraction::ContextString));
-  EXPECT_EQ(R.pointsTo(W), (U32s{H1}));
+  EXPECT_EQ(test::ptsVec(R, W), (U32s{H1}));
 }
 
 } // namespace

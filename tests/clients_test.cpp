@@ -128,21 +128,20 @@ TEST(AliasTest, Figure1AliasRelations) {
   analysis::Results Precise = analysis::solve(
       DB, ctx::Config{Abstraction::TransformerString,
                       ctx::Flavour::CallSite, 2, 1});
-  clients::AliasOracle A(Precise);
   // x and x1 both point to h1 — aliased.
-  EXPECT_TRUE(A.mayAlias(F.X, F.X1));
+  EXPECT_TRUE(clients::mayAlias(Precise, F.X, F.X1));
   // x1 (h1) and y1 (h2) are separated under 2-call.
-  EXPECT_FALSE(A.mayAlias(F.X1, F.Y1));
+  EXPECT_FALSE(clients::mayAlias(Precise, F.X1, F.Y1));
   // a and b point to m1 objects with distinct heap contexts, but the CI
   // alias query merges contexts: they still may-alias on heap site m1.
-  EXPECT_TRUE(A.mayAlias(F.A, F.B));
+  EXPECT_TRUE(clients::mayAlias(Precise, F.A, F.B));
 
   analysis::Results Coarse =
       analysis::solve(DB, ctx::insensitive(Abstraction::ContextString));
-  clients::AliasOracle C(Coarse);
   std::vector<std::uint32_t> Vars = {F.X1, F.Y1, F.X2, F.Y2};
   // Precision shows up as strictly fewer alias pairs.
-  EXPECT_LT(A.countAliasPairs(Vars), C.countAliasPairs(Vars));
+  EXPECT_LT(clients::countAliasPairs(Precise, Vars),
+            clients::countAliasPairs(Coarse, Vars));
 }
 
 TEST(AliasTest, OutOfRangeVarIsEmpty) {
@@ -150,9 +149,8 @@ TEST(AliasTest, OutOfRangeVarIsEmpty) {
   facts::FactDB DB = facts::extract(F.P);
   analysis::Results R =
       analysis::solve(DB, ctx::oneCall(Abstraction::ContextString));
-  clients::AliasOracle A(R);
-  EXPECT_TRUE(A.pointsTo(99999).empty());
-  EXPECT_FALSE(A.mayAlias(99999, F.V));
+  EXPECT_TRUE(R.ptsOf(99999).empty());
+  EXPECT_FALSE(clients::mayAlias(R, 99999, F.V));
 }
 
 TEST(ReachabilityTest, DeadMethodsReported) {

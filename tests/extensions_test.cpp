@@ -17,6 +17,7 @@
 #include "facts/Extract.h"
 #include "ir/Builder.h"
 
+#include "PtsVec.h"
 #include "gtest/gtest.h"
 
 using namespace ctp;
@@ -51,7 +52,7 @@ TEST(GlobalFieldTest, StoreThenLoadFlows) {
        {Abstraction::ContextString, Abstraction::TransformerString})
     for (const Config &Cfg : allConfigs(A)) {
       analysis::Results R = analysis::solve(DB, Cfg);
-      EXPECT_EQ(R.pointsTo(Y), (U32s{HX})) << Cfg.name();
+      EXPECT_EQ(test::ptsVec(R, Y), (U32s{HX})) << Cfg.name();
       EXPECT_EQ(R.Stat.NumGpts, 1u) << Cfg.name();
     }
 }
@@ -78,7 +79,7 @@ TEST(GlobalFieldTest, FlowsAcrossMethodsWithoutCalls) {
   for (Abstraction A :
        {Abstraction::ContextString, Abstraction::TransformerString}) {
     analysis::Results R = analysis::solve(DB, ctx::twoObjectH(A));
-    EXPECT_EQ(R.pointsTo(CY), (U32s{HP}));
+    EXPECT_EQ(test::ptsVec(R, CY), (U32s{HP}));
   }
 }
 
@@ -97,7 +98,7 @@ TEST(GlobalFieldTest, LoadInUnreachableMethodSeesNothing) {
   facts::FactDB DB = facts::extract(B.take());
   analysis::Results R =
       analysis::solve(DB, ctx::oneCall(Abstraction::TransformerString));
-  EXPECT_TRUE(R.pointsTo(DY).empty());
+  EXPECT_TRUE(test::ptsVec(R, DY).empty());
 }
 
 TEST(GlobalFieldTest, LoadEnumeratesReachContextsInBothAbstractions) {
@@ -141,8 +142,8 @@ TEST(GlobalFieldTest, LoadEnumeratesReachContextsInBothAbstractions) {
     if (F.Var == RY)
       AllWild &= Ts.Dom->transformer(F.T).Wild;
   EXPECT_TRUE(AllWild);
-  EXPECT_EQ(Cs.pointsTo(RY), (U32s{HX}));
-  EXPECT_EQ(Ts.pointsTo(RY), (U32s{HX}));
+  EXPECT_EQ(test::ptsVec(Cs, RY), (U32s{HX}));
+  EXPECT_EQ(test::ptsVec(Ts, RY), (U32s{HX}));
 }
 
 TEST(ExceptionTest, ThrownObjectReachesCatch) {
@@ -164,7 +165,7 @@ TEST(ExceptionTest, ThrownObjectReachesCatch) {
        {Abstraction::ContextString, Abstraction::TransformerString})
     for (const Config &Cfg : allConfigs(A)) {
       analysis::Results R = analysis::solve(DB, Cfg);
-      EXPECT_EQ(R.pointsTo(Y), (U32s{HE})) << Cfg.name();
+      EXPECT_EQ(test::ptsVec(R, Y), (U32s{HE})) << Cfg.name();
     }
 }
 
@@ -210,13 +211,13 @@ TEST(ExceptionTest, ContextSensitiveCatchPrecision) {
   // Context-insensitively the two catches merge...
   analysis::Results CI =
       analysis::solve(DB, ctx::insensitive(Abstraction::ContextString));
-  EXPECT_EQ(CI.pointsTo(Y1), (U32s{H1, H2}));
+  EXPECT_EQ(test::ptsVec(CI, Y1), (U32s{H1, H2}));
   // ...1-call separates them, under both abstractions.
   for (Abstraction A :
        {Abstraction::ContextString, Abstraction::TransformerString}) {
     analysis::Results R = analysis::solve(DB, ctx::oneCall(A));
-    EXPECT_EQ(R.pointsTo(Y1), (U32s{H1}));
-    EXPECT_EQ(R.pointsTo(Y2), (U32s{H2}));
+    EXPECT_EQ(test::ptsVec(R, Y1), (U32s{H1}));
+    EXPECT_EQ(test::ptsVec(R, Y2), (U32s{H2}));
   }
 }
 
@@ -274,8 +275,8 @@ TEST(ExtensionsTest, OracleCoversGlobalsAndExceptions) {
       DB, ctx::insensitive(Abstraction::TransformerString));
   EXPECT_EQ(O.Pts, R.ciPts());
   // Both paths deliver the exception object.
-  EXPECT_EQ(R.pointsTo(Y), (U32s{HE}));
-  EXPECT_EQ(R.pointsTo(Z), (U32s{HE}));
+  EXPECT_EQ(test::ptsVec(R, Y), (U32s{HE}));
+  EXPECT_EQ(test::ptsVec(R, Z), (U32s{HE}));
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include "facts/Extract.h"
 #include "workload/PaperPrograms.h"
 
+#include "PtsVec.h"
 #include "gtest/gtest.h"
 
 using namespace ctp;
@@ -31,7 +32,7 @@ protected:
 
   std::vector<std::uint32_t> pts(const analysis::Results &R,
                                  ir::VarId V) const {
-    return R.pointsTo(V);
+    return test::ptsVec(R, V);
   }
 
   workload::Figure1Program F;

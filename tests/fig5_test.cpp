@@ -13,6 +13,7 @@
 #include "facts/Extract.h"
 #include "workload/PaperPrograms.h"
 
+#include "PtsVec.h"
 #include "gtest/gtest.h"
 
 using namespace ctp;
@@ -96,8 +97,8 @@ TEST_F(Fig5Test, PrecisionIsIdentical) {
   EXPECT_EQ(Cs.ciPts(), Ts.ciPts());
   EXPECT_EQ(Cs.ciCall(), Ts.ciCall());
   // x and y both point to h1 (the single allocation site) either way.
-  EXPECT_EQ(Cs.pointsTo(F.X), std::vector<std::uint32_t>{F.H1});
-  EXPECT_EQ(Ts.pointsTo(F.Y), std::vector<std::uint32_t>{F.H1});
+  EXPECT_EQ(test::ptsVec(Cs, F.X), std::vector<std::uint32_t>{F.H1});
+  EXPECT_EQ(test::ptsVec(Ts, F.Y), std::vector<std::uint32_t>{F.H1});
 }
 
 TEST_F(Fig5Test, FactReductionMatchesPaperStory) {

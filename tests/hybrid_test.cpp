@@ -18,6 +18,7 @@
 #include "workload/Generator.h"
 #include "workload/PaperPrograms.h"
 
+#include "PtsVec.h"
 #include "gtest/gtest.h"
 
 #include <algorithm>
@@ -47,10 +48,10 @@ TEST(HybridTest, VirtualBehavesLikeObjectSensitivity) {
   for (Abstraction A :
        {Abstraction::ContextString, Abstraction::TransformerString}) {
     analysis::Results R = analysis::solve(DB, ctx::twoHybridH(A));
-    EXPECT_EQ(R.pointsTo(F.X1), (U32s{F.H1, F.H2}));
-    EXPECT_EQ(R.pointsTo(F.X2), (U32s{F.H1}));
-    EXPECT_EQ(R.pointsTo(F.Y2), (U32s{F.H2}));
-    EXPECT_TRUE(R.pointsTo(F.Z).empty());
+    EXPECT_EQ(test::ptsVec(R, F.X1), (U32s{F.H1, F.H2}));
+    EXPECT_EQ(test::ptsVec(R, F.X2), (U32s{F.H1}));
+    EXPECT_EQ(test::ptsVec(R, F.Y2), (U32s{F.H2}));
+    EXPECT_TRUE(test::ptsVec(R, F.Z).empty());
   }
 }
 
@@ -89,12 +90,12 @@ TEST(HybridTest, StaticCallsGainCallSitePrecision) {
     // 1-object (m = 1): id's context is run's receiver context for both
     // sites — merged.
     analysis::Results Obj1 = analysis::solve(DB, ctx::oneObject(Ab));
-    EXPECT_EQ(Obj1.pointsTo(R1), (U32s{HA, HB}));
+    EXPECT_EQ(test::ptsVec(Obj1, R1), (U32s{HA, HB}));
     // 1-hybrid (m = 1): the call-site element separates s1 from s2.
     Config Hy1{Ab, ctx::Flavour::Hybrid, 1, 0};
     analysis::Results Hy = analysis::solve(DB, Hy1);
-    EXPECT_EQ(Hy.pointsTo(R1), (U32s{HA}));
-    EXPECT_EQ(Hy.pointsTo(R2), (U32s{HB}));
+    EXPECT_EQ(test::ptsVec(Hy, R1), (U32s{HA}));
+    EXPECT_EQ(test::ptsVec(Hy, R2), (U32s{HB}));
   }
 }
 
@@ -125,7 +126,7 @@ TEST(HybridTest, ElementKindsDoNotCollide) {
   for (Abstraction Ab :
        {Abstraction::ContextString, Abstraction::TransformerString}) {
     analysis::Results R = analysis::solve(DB, ctx::twoHybridH(Ab));
-    EXPECT_EQ(R.pointsTo(Out), (U32s{HX}));
+    EXPECT_EQ(test::ptsVec(R, Out), (U32s{HX}));
   }
 }
 

@@ -16,6 +16,7 @@
 #include "facts/Extract.h"
 #include "ir/Builder.h"
 
+#include "PtsVec.h"
 #include "gtest/gtest.h"
 
 #include <algorithm>
@@ -81,8 +82,8 @@ TEST(RecursionTest, DirectStaticRecursion) {
   analysis::Results R = analysis::solve(
       DB, Config{Abstraction::TransformerString, ctx::Flavour::CallSite,
                  2, 1});
-  EXPECT_EQ(R.pointsTo(Y), (U32s{H}));
-  EXPECT_EQ(R.pointsTo(T), (U32s{H}));
+  EXPECT_EQ(test::ptsVec(R, Y), (U32s{H}));
+  EXPECT_EQ(test::ptsVec(R, T), (U32s{H}));
 }
 
 TEST(RecursionTest, MutualRecursion) {
@@ -110,7 +111,7 @@ TEST(RecursionTest, MutualRecursion) {
   expectSoundAndEqual(DB);
   analysis::Results R =
       analysis::solve(DB, ctx::oneCallH(Abstraction::TransformerString));
-  EXPECT_EQ(R.pointsTo(Y), (U32s{H}));
+  EXPECT_EQ(test::ptsVec(R, Y), (U32s{H}));
 }
 
 TEST(RecursionTest, RecursiveVirtualDispatch) {
@@ -138,8 +139,8 @@ TEST(RecursionTest, RecursiveVirtualDispatch) {
   for (Abstraction A :
        {Abstraction::ContextString, Abstraction::TransformerString}) {
     analysis::Results R = analysis::solve(DB, ctx::twoObjectH(A));
-    EXPECT_EQ(R.pointsTo(Out), (U32s{HF}));
-    EXPECT_EQ(R.pointsTo(WT), (U32s{HF}));
+    EXPECT_EQ(test::ptsVec(R, Out), (U32s{HF}));
+    EXPECT_EQ(test::ptsVec(R, WT), (U32s{HF}));
   }
 }
 
@@ -173,8 +174,8 @@ TEST(RecursionTest, RecursiveListConstruction) {
       analysis::solve(DB, ctx::twoObjectH(Abstraction::TransformerString));
   // The list head is always an hnode object; following next reaches
   // either another hnode or the seed.
-  EXPECT_EQ(Res.pointsTo(List), (U32s{HN}));
-  EXPECT_EQ(Res.pointsTo(Walk), (U32s{HN, HSeed}));
+  EXPECT_EQ(test::ptsVec(Res, List), (U32s{HN}));
+  EXPECT_EQ(test::ptsVec(Res, Walk), (U32s{HN, HSeed}));
 }
 
 TEST(RecursionTest, DeepDepthConfigsStillTerminate) {
@@ -199,7 +200,7 @@ TEST(RecursionTest, DeepDepthConfigsStillTerminate) {
     Config Cfg{A, ctx::Flavour::CallSite, 4, 4};
     ASSERT_EQ(Cfg.validate(), "");
     analysis::Results R = analysis::solve(DB, Cfg);
-    EXPECT_EQ(R.pointsTo(Y), (U32s{H})) << Cfg.name();
+    EXPECT_EQ(test::ptsVec(R, Y), (U32s{H})) << Cfg.name();
   }
 }
 

@@ -12,6 +12,7 @@
 #include "facts/Extract.h"
 #include "ir/Builder.h"
 
+#include "PtsVec.h"
 #include "gtest/gtest.h"
 
 using namespace ctp;
@@ -42,9 +43,9 @@ TEST(SolverBasicTest, DirectAllocation) {
        {Abstraction::ContextString, Abstraction::TransformerString})
     for (const Config &Cfg : allFigure6Configs(A)) {
       analysis::Results R = analysis::solve(DB, Cfg);
-      EXPECT_EQ(R.pointsTo(X), std::vector<std::uint32_t>{H})
+      EXPECT_EQ(test::ptsVec(R, X), std::vector<std::uint32_t>{H})
           << Cfg.name();
-      EXPECT_EQ(R.pointsTo(Y), std::vector<std::uint32_t>{H})
+      EXPECT_EQ(test::ptsVec(R, Y), std::vector<std::uint32_t>{H})
           << Cfg.name();
     }
 }
@@ -70,7 +71,7 @@ TEST(SolverBasicTest, FieldStoreLoad) {
        {Abstraction::ContextString, Abstraction::TransformerString})
     for (const Config &Cfg : allFigure6Configs(A)) {
       analysis::Results R = analysis::solve(DB, Cfg);
-      EXPECT_EQ(R.pointsTo(W), std::vector<std::uint32_t>{HV})
+      EXPECT_EQ(test::ptsVec(R, W), std::vector<std::uint32_t>{HV})
           << Cfg.name();
     }
 }
@@ -100,7 +101,7 @@ TEST(SolverBasicTest, DistinctBoxesDoNotLeak) {
   for (Abstraction A :
        {Abstraction::ContextString, Abstraction::TransformerString}) {
     analysis::Results R = analysis::solve(DB, ctx::oneObject(A));
-    EXPECT_EQ(R.pointsTo(W), std::vector<std::uint32_t>{H1});
+    EXPECT_EQ(test::ptsVec(R, W), std::vector<std::uint32_t>{H1});
   }
 }
 
@@ -123,9 +124,9 @@ TEST(SolverBasicTest, StaticCallParameterAndReturn) {
        {Abstraction::ContextString, Abstraction::TransformerString})
     for (const Config &Cfg : allFigure6Configs(A)) {
       analysis::Results R = analysis::solve(DB, Cfg);
-      EXPECT_EQ(R.pointsTo(Y), std::vector<std::uint32_t>{H})
+      EXPECT_EQ(test::ptsVec(R, Y), std::vector<std::uint32_t>{H})
           << Cfg.name();
-      EXPECT_EQ(R.pointsTo(P0), std::vector<std::uint32_t>{H})
+      EXPECT_EQ(test::ptsVec(R, P0), std::vector<std::uint32_t>{H})
           << Cfg.name();
     }
 }
@@ -159,7 +160,7 @@ TEST(SolverBasicTest, VirtualDispatchSelectsOverride) {
        {Abstraction::ContextString, Abstraction::TransformerString})
     for (const Config &Cfg : allFigure6Configs(A)) {
       analysis::Results R = analysis::solve(DB, Cfg);
-      EXPECT_EQ(R.pointsTo(Out), std::vector<std::uint32_t>{HDer})
+      EXPECT_EQ(test::ptsVec(R, Out), std::vector<std::uint32_t>{HDer})
           << Cfg.name();
       // Base.op must stay unreachable.
       auto Reached = R.ciReach();
@@ -183,7 +184,7 @@ TEST(SolverBasicTest, UnreachableCodeDerivesNothing) {
 
   analysis::Results R =
       analysis::solve(DB, ctx::oneObject(Abstraction::TransformerString));
-  EXPECT_TRUE(R.pointsTo(DX).empty());
+  EXPECT_TRUE(test::ptsVec(R, DX).empty());
   EXPECT_EQ(R.ciReach(), std::vector<std::uint32_t>{Main});
 }
 

@@ -25,6 +25,7 @@
 #include "facts/Extract.h"
 #include "ir/Builder.h"
 
+#include "PtsVec.h"
 #include "gtest/gtest.h"
 
 #include <algorithm>
@@ -112,11 +113,11 @@ TEST(TypeLossTest, TransformerLosesPrecisionAtTwoTypeH) {
       analysis::solve(P.DB, ctx::twoTypeH(Abstraction::TransformerString));
 
   // Context strings keep the two flows apart.
-  EXPECT_EQ(Cs.pointsTo(P.RGo1), (U32s{P.H1}));
-  EXPECT_EQ(Cs.pointsTo(P.RGo2), (U32s{P.H2}));
+  EXPECT_EQ(test::ptsVec(Cs, P.RGo1), (U32s{P.H1}));
+  EXPECT_EQ(test::ptsVec(Cs, P.RGo2), (U32s{P.H2}));
   // Transformer strings merge them — the paper's "(+n)" column.
-  EXPECT_EQ(Ts.pointsTo(P.RGo1), (U32s{P.H1, P.H2}));
-  EXPECT_EQ(Ts.pointsTo(P.RGo2), (U32s{P.H1, P.H2}));
+  EXPECT_EQ(test::ptsVec(Ts, P.RGo1), (U32s{P.H1, P.H2}));
+  EXPECT_EQ(test::ptsVec(Ts, P.RGo2), (U32s{P.H1, P.H2}));
 
   // The loss is one-directional (Theorem 6.1 still holds): ts ⊇ cs.
   auto CsCi = Cs.ciPts(), TsCi = Ts.ciPts();
@@ -134,8 +135,8 @@ TEST(TypeLossTest, NoLossUnderObjectSensitivity) {
   analysis::Results Ts = analysis::solve(
       P.DB, ctx::twoObjectH(Abstraction::TransformerString));
   EXPECT_EQ(Cs.ciPts(), Ts.ciPts());
-  EXPECT_EQ(Ts.pointsTo(P.RGo1), (U32s{P.H1}));
-  EXPECT_EQ(Ts.pointsTo(P.RA), (U32s{P.H1}));
+  EXPECT_EQ(test::ptsVec(Ts, P.RGo1), (U32s{P.H1}));
+  EXPECT_EQ(test::ptsVec(Ts, P.RA), (U32s{P.H1}));
 }
 
 TEST(TypeLossTest, NoLossUnderCallSiteSensitivity) {
@@ -156,8 +157,8 @@ TEST(TypeLossTest, TopLevelResultsUnaffectedHere) {
   LossProgram P = build();
   analysis::Results Ts =
       analysis::solve(P.DB, ctx::twoTypeH(Abstraction::TransformerString));
-  EXPECT_EQ(Ts.pointsTo(P.RA), (U32s{P.H1}));
-  EXPECT_EQ(Ts.pointsTo(P.RB), (U32s{P.H2}));
+  EXPECT_EQ(test::ptsVec(Ts, P.RA), (U32s{P.H1}));
+  EXPECT_EQ(test::ptsVec(Ts, P.RB), (U32s{P.H2}));
 }
 
 } // namespace
